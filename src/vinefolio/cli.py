@@ -19,7 +19,7 @@ import scipy
 
 from . import __version__, ga, harness, model, rvine, scenarios
 from .bicop import ALL_FAMILIES
-from .errors import VinefolioError
+from .errors import EmptyScenarios, VinefolioError
 from .marginals import effectively_constant, pit_transform
 from .scenarios import ReturnPanel, ScenarioSet, adjust_returns
 
@@ -98,33 +98,25 @@ def _write_scenario_csv(scen: ScenarioSet, path: Path) -> None:
 
 
 def _read_scenario_csv(path: Path) -> ScenarioSet:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        columns = tuple(header[1:])
-        values = [[float(c) for c in row[1:]] for row in reader if row]
-    arr = np.asarray(values)
+    header, _, arr = harness.read_numeric_csv(path)
+    if arr.shape[0] == 0:
+        raise EmptyScenarios(f"{path}: no scenario rows")
     sidecar = path.with_suffix(".json")
     method, seed = "", None
     if sidecar.exists():
         meta = json.loads(sidecar.read_text())
         method, seed = meta.get("method", ""), meta.get("seed")
-    return ScenarioSet(columns, arr, np.full(arr.shape[0], 1.0 / arr.shape[0]),
+    return ScenarioSet(tuple(header[1:]), arr, np.full(arr.shape[0], 1.0 / arr.shape[0]),
                        method=method, seed=seed)
 
 
 def _solution_to_dict(sol: model.Solution) -> dict:
-    doc = {}
-    for key in ("b_asset", "s_asset", "x_asset", "y_asset",
-                "b_fwd", "s_fwd", "x_fwd", "y_fwd", "z"):
-        doc[key] = np.asarray(getattr(sol, key)).tolist()
-    return doc
+    return {key: np.asarray(getattr(sol, key)).tolist() for key in model.STAGE_FIELDS}
 
 
 def _solution_from_dict(doc: dict) -> model.Solution:
     return model.Solution(**{k: np.asarray(v, dtype=float) for k, v in doc.items()
-                             if k in ("b_asset", "s_asset", "x_asset", "y_asset",
-                                      "b_fwd", "s_fwd", "x_fwd", "y_fwd", "z")})
+                             if k in model.STAGE_FIELDS})
 
 
 def _run(func):

@@ -53,8 +53,12 @@ class EmptyScenarios(VinefolioError):
     """CVaR requested on an empty scenario set."""
 
 
+class InvalidScenarios(VinefolioError, ValueError):
+    """Scenario values are not finite or probabilities do not sum to 1."""
+
+
 class NonNumericCell(VinefolioError):
-    """A panel cell that should be numeric is blank or non-numeric."""
+    """A CSV cell that should hold a finite number does not."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

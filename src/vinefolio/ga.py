@@ -113,56 +113,37 @@ def stage_length(inst: Instance) -> int:
     return 4 * inst.n_assets + 4 * inst.n_forwards + inst.n_currencies
 
 
+def _decode_stage(inst: Instance, genes: np.ndarray) -> dict[str, np.ndarray]:
+    b_a, s_a, xg_a, yg_a, b_f, s_f, xg_f, yg_f, zg = _split_stage(inst, genes)
+    x_a, y_a, x_f, y_f, z = ((g > 0.5).astype(float) for g in (xg_a, yg_a, xg_f, yg_f, zg))
+    values = (np.maximum(b_a, 0.0) * x_a, np.maximum(s_a, 0.0) * y_a, x_a, y_a,
+              np.maximum(b_f, 0.0) * x_f, np.maximum(s_f, 0.0) * y_f, x_f, y_f, z)
+    return dict(zip(model.STAGE_FIELDS, values))
+
+
 def decode(layout: ChromosomeLayout, genes: np.ndarray) -> Solution:
     """Genes -> Solution; binaries thresholded, trades zeroed when the
-    matching flag is off (keeps the pair consistent)."""
+    matching flag is off (keeps the pair consistent).
+
+    Leading axes of `genes` carry over to every field, so a (P, L)
+    population decodes to one Solution with a leading P axis.
+    """
     inst = layout.instance
     sl = stage_length(inst)
-    b_a, s_a, xg_a, yg_a, b_f, s_f, xg_f, yg_f, zg = _split_stage(inst, genes[:sl])
-    x_a = (xg_a > 0.5).astype(float)
-    y_a = (yg_a > 0.5).astype(float)
-    x_f = (xg_f > 0.5).astype(float)
-    y_f = (yg_f > 0.5).astype(float)
-    z = (zg > 0.5).astype(float)
-    first = dict(
-        b_asset=np.maximum(b_a, 0.0) * x_a, s_asset=np.maximum(s_a, 0.0) * y_a,
-        x_asset=x_a, y_asset=y_a,
-        b_fwd=np.maximum(b_f, 0.0) * x_f, s_fwd=np.maximum(s_f, 0.0) * y_f,
-        x_fwd=x_f, y_fwd=y_f, z=z,
-    )
+    first = _decode_stage(inst, genes[..., :sl])
     if layout.recourse_mode != "full":
         return Solution(**first)
-    N = layout.n_scenarios
-    rec = genes[sl:].reshape(N, sl)
-    rb_a, rs_a, rxg_a, ryg_a, rb_f, rs_f, rxg_f, ryg_f, rzg = _split_stage(inst, rec)
-    rx_a = (rxg_a > 0.5).astype(float)
-    ry_a = (ryg_a > 0.5).astype(float)
-    rx_f = (rxg_f > 0.5).astype(float)
-    ry_f = (ryg_f > 0.5).astype(float)
-    return Solution(
-        **first,
-        rb_asset=np.maximum(rb_a, 0.0) * rx_a, rs_asset=np.maximum(rs_a, 0.0) * ry_a,
-        rx_asset=rx_a, ry_asset=ry_a,
-        rb_fwd=np.maximum(rb_f, 0.0) * rx_f, rs_fwd=np.maximum(rs_f, 0.0) * ry_f,
-        rx_fwd=rx_f, ry_fwd=ry_f,
-        rz=(rzg > 0.5).astype(float),
-    )
+    rec = genes[..., sl:].reshape(genes.shape[:-1] + (layout.n_scenarios, sl))
+    return Solution(**first, **{"r" + k: v for k, v in _decode_stage(inst, rec).items()})
 
 
 def encode(layout: ChromosomeLayout, sol: Solution) -> np.ndarray:
-    first = np.concatenate([
-        sol.b_asset, sol.s_asset, sol.x_asset, sol.y_asset,
-        sol.b_fwd, sol.s_fwd, sol.x_fwd, sol.y_fwd, sol.z,
-    ])
+    first = np.concatenate([getattr(sol, f) for f in model.STAGE_FIELDS])
     if layout.recourse_mode != "full":
         return first
     if sol.has_recourse:
-        rec = np.concatenate([
-            np.concatenate([
-                sol.rb_asset[r], sol.rs_asset[r], sol.rx_asset[r], sol.ry_asset[r],
-                sol.rb_fwd[r], sol.rs_fwd[r], sol.rx_fwd[r], sol.ry_fwd[r], sol.rz[r],
-            ]) for r in range(layout.n_scenarios)
-        ])
+        rec = np.concatenate([getattr(sol, "r" + f) for f in model.STAGE_FIELDS],
+                             axis=-1).ravel()
     else:
         rec = np.zeros(layout.n_scenarios * stage_length(layout.instance))
     return np.concatenate([first, rec])
@@ -193,8 +174,7 @@ def select_stochastic_uniform(weights: np.ndarray, count: int,
     return np.searchsorted(cum, points, side="right").clip(0, weights.size - 1)
 
 
-def crossover_arithmetic(parent_a: np.ndarray, parent_b: np.ndarray,
-                         rng: np.random.Generator | None = None) -> np.ndarray:
+def crossover_arithmetic(parent_a: np.ndarray, parent_b: np.ndarray) -> np.ndarray:
     if parent_a.shape != parent_b.shape:
         raise LengthMismatch(f"{parent_a.shape} vs {parent_b.shape}")
     return 0.5 * (parent_a + parent_b)
@@ -234,20 +214,37 @@ def _initial_population(layout: ChromosomeLayout, config: GAConfig,
     """Random-weighted portfolios: buys split the initial cash across
     assets; binaries fair coin flips; recourse trades start at zero."""
     inst = layout.instance
-    pop = np.zeros((config.population, layout.length))
     sl = stage_length(inst)
     na, nf, nc = inst.n_assets, inst.n_forwards, inst.n_currencies
-    for p in range(config.population):
-        w = rng.random(na)
-        w /= w.sum()
-        genes = np.zeros(layout.length)
-        genes[0:na] = w * inst.h0 / inst.p0_asset                    # b_asset
-        flags = rng.random(2 * na + 2 * nf + nc) < 0.5
-        genes[2 * na:4 * na] = flags[: 2 * na]                       # x/y asset
-        genes[4 * na + 2 * nf : 4 * na + 4 * nf] = flags[2 * na : 2 * na + 2 * nf]
-        genes[sl - nc : sl] = flags[2 * na + 2 * nf :]               # z
-        pop[p] = np.clip(genes, layout.lower, layout.upper)
-    return pop
+    # Row p holds individual p's weight draws, then its flag draws.
+    draws = rng.random((config.population, na + 2 * na + 2 * nf + nc))
+    w = draws[:, :na]
+    flags = draws[:, na:] < 0.5
+    pop = np.zeros((config.population, layout.length))
+    pop[:, 0:na] = w / w.sum(axis=1, keepdims=True) * inst.h0 / inst.p0_asset  # b_asset
+    pop[:, 2 * na:4 * na] = flags[:, : 2 * na]                                 # x/y asset
+    pop[:, 4 * na + 2 * nf : 4 * na + 4 * nf] = flags[:, 2 * na : 2 * na + 2 * nf]
+    pop[:, sl - nc : sl] = flags[:, 2 * na + 2 * nf :]                         # z
+    return np.clip(pop, layout.lower, layout.upper)
+
+
+# Population rows per evaluation pass are capped so that a pass's P_c x L
+# genes stay under this many elements. In full recourse mode L is the
+# stage length times N + 1, and the stage makes about twenty temporaries
+# of that size.
+_CHUNK_ELEMENTS = 1 << 19
+
+
+def _population_fitness(layout: ChromosomeLayout, pop: np.ndarray,
+                        scen: ScenarioSet, p_asset: np.ndarray,
+                        p_fwd: np.ndarray) -> np.ndarray:
+    """Fitness of every row of `pop`, a chunk of rows per pass."""
+    rows = max(1, _CHUNK_ELEMENTS // layout.length)
+    return np.concatenate([
+        model.population_fitness(layout.instance, decode(layout, pop[i:i + rows]),
+                                 scen, p_asset, p_fwd)
+        for i in range(0, len(pop), rows)
+    ])
 
 
 def run(inst: Instance, scen: ScenarioSet, config: GAConfig) -> GAResult:
@@ -256,20 +253,11 @@ def run(inst: Instance, scen: ScenarioSet, config: GAConfig) -> GAResult:
     rng = np.random.default_rng(config.seed)
     p_asset, p_fwd = model.scenario_prices(inst, scen)
 
-    def fitness_of(genes: np.ndarray) -> tuple[float, Evaluation]:
-        ev = model.evaluate(inst, decode(layout, genes), scen, p_asset, p_fwd)
-        return ev.fitness, ev
-
     pop = _initial_population(layout, config, rng)
-    fits = np.empty(config.population)
-    evals: list[Evaluation] = [None] * config.population  # type: ignore[list-item]
-    for p in range(config.population):
-        fits[p], evals[p] = fitness_of(pop[p])
-
+    fits = _population_fitness(layout, pop, scen, p_asset, p_fwd)
     best_idx = int(np.argmin(fits))
     best_genes = pop[best_idx].copy()
     best_fit = float(fits[best_idx])
-    best_eval = evals[best_idx]
 
     sigma = config.mutation_scale
     trace: list[tuple[int, float, float]] = []
@@ -287,11 +275,9 @@ def run(inst: Instance, scen: ScenarioSet, config: GAConfig) -> GAResult:
         new_pop = np.empty_like(pop)
         new_pop[: config.elite_count] = pop[elite_order]
         pos = config.elite_count
-        for c in range(n_cross):
-            pa = pop[parent_idx[2 * c]]
-            pb = pop[parent_idx[2 * c + 1]]
-            new_pop[pos] = crossover_arithmetic(pa, pb)
-            pos += 1
+        new_pop[pos:pos + n_cross] = crossover_arithmetic(
+            pop[parent_idx[0:2 * n_cross:2]], pop[parent_idx[1:2 * n_cross:2]])
+        pos += n_cross
         for mgene in range(n_mut):
             src = pop[parent_idx[2 * n_cross + mgene]]
             new_pop[pos] = mutate_adaptive_feasible(
@@ -300,21 +286,20 @@ def run(inst: Instance, scen: ScenarioSet, config: GAConfig) -> GAResult:
             pos += 1
 
         pop = new_pop
-        for p in range(config.population):
-            fits[p], evals[p] = fitness_of(pop[p])
+        fits = _population_fitness(layout, pop, scen, p_asset, p_fwd)
 
         gen_best = int(np.argmin(fits))
         improved = fits[gen_best] < best_fit
         if improved:
             best_fit = float(fits[gen_best])
             best_genes = pop[gen_best].copy()
-            best_eval = evals[gen_best]
         sigma = max(
             config.mutation_floor,
             sigma * (config.mutation_grow if improved else config.mutation_shrink),
         )
 
     best_sol = decode(layout, best_genes)
+    best_eval = model.evaluate(inst, best_sol, scen, p_asset, p_fwd)
     return GAResult(solution=best_sol, evaluation=best_eval,
                     fitness=best_fit, cvar=best_eval.cvar,
                     trace=tuple(trace), config=config)

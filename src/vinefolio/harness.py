@@ -27,6 +27,48 @@ FEASIBILITY_TOL = 1e-6
 # ---------------------------------------------------------------------------
 
 
+def read_numeric_csv(path, first_column: str | None = None):
+    """Header, first-column labels and numeric cells (rows x columns) of a CSV.
+
+    Blank lines are skipped. A missing header, a first column other than
+    `first_column` when one is given, a ragged row and a blank,
+    non-numeric or non-finite cell each raise an error naming the line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header:
+            raise ParseError("no header row", line=1)
+        if first_column is not None and header[0] != first_column:
+            raise ParseError(f"first column must be {first_column!r}", line=1)
+        labels, rows = [], []
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(cell.strip() == "" for cell in row):
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} cells, got {len(row)}", line=line_no
+                )
+            labels.append(row[0])
+            values = []
+            for name, cell in zip(header[1:], row[1:]):
+                text = cell.strip()
+                if text == "":
+                    raise ParseError(f"blank cell in column {name!r}", line=line_no)
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise NonNumericCell(
+                        f"non-numeric cell {cell!r} in column {name!r}", line=line_no
+                    ) from None
+                if not np.isfinite(value):
+                    raise NonNumericCell(
+                        f"non-finite cell {cell!r} in column {name!r}", line=line_no)
+                values.append(value)
+            rows.append(values)
+    return header, labels, np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
+
+
 def load_panel(path: str, asset_currency: dict[str, str], base: str) -> ReturnPanel:
     """Read a return panel CSV and validate it cell by cell.
 
@@ -35,39 +77,8 @@ def load_panel(path: str, asset_currency: dict[str, str], base: str) -> ReturnPa
     is an asset and must appear in `asset_currency`. The base currency's
     return series defaults to zero if absent.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        if not header or header[0] != "period":
-            raise ParseError("first column must be 'period'", line=1)
-        series_names = header[1:]
-        rows: list[list[float]] = []
-        periods: list[str] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} cells, got {len(row)}", line=line_no
-                )
-            periods.append(row[0])
-            values = []
-            for name, cell in zip(series_names, row[1:]):
-                text = cell.strip()
-                if text == "":
-                    raise ParseError(f"blank cell in column {name!r}", line=line_no)
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    raise NonNumericCell(
-                        f"non-numeric cell {cell!r} in column {name!r}", line=line_no
-                    ) from None
-            rows.append(values)
-
-    data = {name: np.array([r[i] for r in rows]) for i, name in enumerate(series_names)}
+    header, periods, matrix = read_numeric_csv(path, "period")
+    data = dict(zip(header[1:], np.ascontiguousarray(matrix.T)))
     m = len(periods)
 
     rates = {

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import overlay
 from .errors import EmptyScenarios, InvalidParameter, MissingColumn
 from .scenarios import ScenarioSet
 
@@ -275,12 +274,19 @@ def with_return_target(inst: Instance, mu: float) -> Instance:
 # ---------------------------------------------------------------------------
 
 
+# Decision fields of one trading stage, in chromosome order; the
+# recourse stage's fields carry an "r" prefix.
+STAGE_FIELDS = ("b_asset", "s_asset", "x_asset", "y_asset",
+                "b_fwd", "s_fwd", "x_fwd", "y_fwd", "z")
+
+
 @dataclass(frozen=True)
 class Solution:
     """First-stage and optional per-scenario recourse decisions.
 
     Binary arrays hold 0/1 floats. Recourse arrays are (N, ...) shaped;
-    None means no recourse trading in any scenario.
+    None means no recourse trading in any scenario. A population carries
+    one more leading axis on every field.
     """
 
     b_asset: np.ndarray
@@ -348,12 +354,15 @@ def scenario_prices(inst: Instance, scen: ScenarioSet) -> tuple[np.ndarray, np.n
 
 
 # ---------------------------------------------------------------------------
-# Stage evaluation
+# Stage evaluation: one algebra over leading batch axes. A solution has
+# none, a population from `ga.decode` has one, and recourse adds scenarios.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FirstStageReport:
+    """First-stage outcome; every field carries the solution's batch axes."""
+
     a: np.ndarray                 # final asset units
     q: np.ndarray                 # final forward units
     q_value: np.ndarray           # forward market values q_k * P0_k
@@ -368,86 +377,9 @@ class FirstStageReport:
         return float(sum(self.residuals.values()))
 
 
-def evaluate_first_stage(inst: Instance, sol: Solution) -> FirstStageReport:
-    w0 = inst.w0
-    b_a, s_a = sol.b_asset, sol.s_asset
-    x_a, y_a = sol.x_asset, sol.y_asset
-    b_f, s_f = sol.b_fwd, sol.s_fwd
-    x_f, y_f = sol.x_fwd, sol.y_fwd
-
-    a = inst.a0 + b_a * x_a - s_a * y_a
-    q = inst.q0 + b_f * x_f - s_f * y_f
-
-    sale_proceeds = float((s_a * inst.p0_asset) @ y_a + (s_f * inst.p0_forward) @ y_f)
-    sale_costs = float(
-        ((inst.fixed_sell_asset + inst.var_sell_asset * s_a * inst.p0_asset) @ y_a)
-        + ((inst.fixed_sell_forward + inst.var_sell_forward * s_f * inst.p0_forward) @ y_f)
-    )
-    buy_outlay = float((b_a * inst.p0_asset) @ x_a + (b_f * inst.p0_forward) @ x_f)
-    buy_costs = float(
-        ((inst.fixed_buy_asset + inst.var_buy_asset * b_a * inst.p0_asset) @ x_a)
-        + ((inst.fixed_buy_forward + inst.var_buy_forward * b_f * inst.p0_forward) @ x_f)
-    )
-    available = inst.h0 + sale_proceeds - sale_costs
-    spend = buy_outlay + buy_costs
-    free_cash = max(0.0, available - spend)
-    cash_violation = max(0.0, spend - available)
-
-    q_value = q * inst.p0_forward
-    T = inst.forward_sign_matrix()
-    F = T * q_value[:, None]
-    margin = inst.margin_rate * float(np.abs(q) @ inst.p0_forward)
-
-    asset_values = np.zeros((inst.n_assets, inst.n_currencies))
-    ccy_of_asset = inst.asset_currency_index()
-    asset_values[np.arange(inst.n_assets), ccy_of_asset] = a * inst.p0_asset
-    c = overlay.currency_exposure(asset_values, F, margin, inst.base_index)
-
-    res: dict[str, float] = {}
-    res["cash_balance"] = cash_violation / w0
-    res["total_overlay"] = max(
-        0.0, overlay.total_overlay(F) - inst.v_u * float(c.sum())
-    ) / w0
-    res["buy_or_sell_asset"] = float(np.maximum(0.0, x_a + y_a - 1.0).sum())
-    res["buy_or_sell_forward"] = float(np.maximum(0.0, x_f + y_f - 1.0).sum())
-    res["trade_size_asset"] = float(
-        (np.maximum(0.0, inst.t_min_asset * x_a - b_a) * inst.p0_asset).sum()
-        + (np.maximum(0.0, inst.t_min_asset * y_a - s_a) * inst.p0_asset).sum()
-        + (np.maximum(0.0, b_a - inst.big_b) * inst.p0_asset).sum()
-        + (np.maximum(0.0, s_a - inst.big_b) * inst.p0_asset).sum()
-    ) / w0
-    res["trade_size_forward"] = float(
-        (np.maximum(0.0, inst.t_min_forward * x_f - b_f) * inst.p0_forward).sum()
-        + (np.maximum(0.0, inst.t_min_forward * y_f - s_f) * inst.p0_forward).sum()
-        + (np.maximum(0.0, b_f - inst.big_b) * inst.p0_forward).sum()
-        + (np.maximum(0.0, s_f - inst.big_b) * inst.p0_forward).sum()
-    ) / w0
-    # The floor applies only to flagged currencies (avoids -inf * 0).
-    floor = np.where(sol.z > 0.5, inst.c_min, -np.inf)
-    res["currency_exposure"] = float(
-        np.maximum(0.0, floor - c).sum()
-        + np.maximum(0.0, c - inst.c_max).sum()
-    ) / w0
-    # Country activity: z_j demands at least one trade touching currency j.
-    trades_per_ccy = np.zeros(inst.n_currencies)
-    np.add.at(trades_per_ccy, ccy_of_asset, x_a + y_a)
-    res["country_activity"] = float(np.maximum(0.0, sol.z - trades_per_ccy).sum())
-    res["currency_cardinality"] = max(0.0, float(sol.z.sum()) - inst.k_c)
-    res["forward_cardinality"] = max(0.0, float((x_f + y_f).sum()) - inst.k_g)
-    res["nonnegative_trades"] = float(
-        (np.maximum(0.0, -b_a) * inst.p0_asset).sum()
-        + (np.maximum(0.0, -s_a) * inst.p0_asset).sum()
-        + (np.maximum(0.0, -b_f) * inst.p0_forward).sum()
-        + (np.maximum(0.0, -s_f) * inst.p0_forward).sum()
-    ) / w0
-
-    return FirstStageReport(a=a, q=q, q_value=q_value, F=F, c=c,
-                            margin=margin, free_cash=free_cash, residuals=res)
-
-
 @dataclass(frozen=True)
 class RecourseReport:
-    """Vectorized over scenarios: arrays are (N, ...) shaped."""
+    """Per-scenario outcome: arrays are batch + (N, ...) shaped."""
 
     a: np.ndarray                 # N x A final units
     q: np.ndarray                 # N x K final units
@@ -456,109 +388,158 @@ class RecourseReport:
     wealth: np.ndarray            # N
     residuals: dict[str, np.ndarray] = field(repr=False)  # each length N
 
-    def mean_residuals(self) -> dict[str, float]:
-        return {k: float(v.mean()) for k, v in self.residuals.items()}
+
+def _currency_onehot(inst: Instance) -> np.ndarray:
+    """A x C matrix with a 1 at each asset's currency."""
+    return np.eye(inst.n_currencies)[inst.asset_currency_index()]
 
 
-def _recourse_arrays(inst: Instance, sol: Solution, N: int):
-    na, nf, nc = inst.n_assets, inst.n_forwards, inst.n_currencies
-    if sol.has_recourse:
-        return (sol.rb_asset, sol.rs_asset, sol.rx_asset, sol.ry_asset,
-                sol.rb_fwd, sol.rs_fwd, sol.rx_fwd, sol.ry_fwd, sol.rz)
-    zeros = np.zeros((N, na))
-    zf = np.zeros((N, nf))
-    # With no recourse trades the country flags carry over unchanged.
-    rz = np.broadcast_to(sol.z, (N, nc))
-    return zeros, zeros, zeros, zeros, zf, zf, zf, zf, rz
+# Exposures have the currency axis first, (C, ...batch), so that sums over
+# the few currencies add whole arrays instead of reducing length-C rows.
+def _exposure(inst: Instance, asset_ccy_value, overlay_cols, margin) -> np.ndarray:
+    """Per-currency exposure; margin cash is held in the base currency."""
+    c = asset_ccy_value + overlay_cols
+    c[inst.base_index] += margin
+    return c
+
+
+def _overlay_excess(inst: Instance, overlay_cols, c):
+    """Overlay size beyond v_u times total exposure, per unit of W0."""
+    total = 0.5 * np.abs(overlay_cols).sum(0)
+    return np.maximum(0.0, total - inst.v_u * c.sum(0)) / inst.w0
+
+
+def _exposure_excess(inst: Instance, z, c):
+    per_ccy = (-1,) + (1,) * (c.ndim - 1)
+    # The floor applies only to flagged currencies (avoids -inf * 0).
+    floor = np.where(z > 0.5, inst.c_min.reshape(per_ccy), -np.inf)
+    return (np.maximum(0.0, floor - c).sum(0)
+            + np.maximum(0.0, c - inst.c_max.reshape(per_ccy)).sum(0)) / inst.w0
+
+
+def _trade_size(inst: Instance, buy, sell, x, y, t_min, price):
+    """Value of trades below their minimum size or above B, per unit of W0."""
+    return (
+        (np.maximum(0.0, t_min * x - buy) * price).sum(-1)
+        + (np.maximum(0.0, t_min * y - sell) * price).sum(-1)
+        + (np.maximum(0.0, buy - inst.big_b) * price).sum(-1)
+        + (np.maximum(0.0, sell - inst.big_b) * price).sum(-1)
+    ) / inst.w0
+
+
+def _trade(inst: Instance, decisions, p_asset, p_fwd, cash, a_held, q_held):
+    """One trading stage over the batch axes of its decisions.
+
+    `decisions` are the stage's nine arrays in STAGE_FIELDS order. Prices,
+    the cash carried in and the holdings carried in broadcast against
+    them. Returns (a, q, q_value, c, margin, free_cash, wealth, residuals),
+    with the currency axis of c first.
+    """
+    b_a, s_a, x_a, y_a, b_f, s_f, x_f, y_f, z = decisions
+    a = a_held + b_a * x_a - s_a * y_a
+    q = q_held + b_f * x_f - s_f * y_f
+
+    sale_proceeds = ((s_a * p_asset) * y_a).sum(-1) + ((s_f * p_fwd) * y_f).sum(-1)
+    sale_costs = (
+        ((inst.fixed_sell_asset + inst.var_sell_asset * s_a * p_asset) * y_a).sum(-1)
+        + ((inst.fixed_sell_forward + inst.var_sell_forward * s_f * p_fwd) * y_f).sum(-1)
+    )
+    buy_outlay = ((b_a * p_asset) * x_a).sum(-1) + ((b_f * p_fwd) * x_f).sum(-1)
+    buy_costs = (
+        ((inst.fixed_buy_asset + inst.var_buy_asset * b_a * p_asset) * x_a).sum(-1)
+        + ((inst.fixed_buy_forward + inst.var_buy_forward * b_f * p_fwd) * x_f).sum(-1)
+    )
+    available = cash + sale_proceeds - sale_costs
+    spend = buy_outlay + buy_costs
+    free_cash = np.maximum(0.0, available - spend)
+
+    onehot = _currency_onehot(inst)
+    q_value = q * p_fwd
+    overlay_cols = np.moveaxis(q_value @ inst.forward_sign_matrix(), -1, 0)
+    margin = inst.margin_rate * (np.abs(q) * p_fwd).sum(-1)
+    asset_value = a * p_asset
+    c = _exposure(inst, np.moveaxis(asset_value @ onehot, -1, 0), overlay_cols, margin)
+    wealth = asset_value.sum(-1) + q_value.sum(-1) + margin + free_cash
+
+    res = {
+        "cash_balance": np.maximum(0.0, spend - available) / inst.w0,
+        "total_overlay": _overlay_excess(inst, overlay_cols, c),
+        "buy_or_sell_asset": np.maximum(0.0, x_a + y_a - 1.0).sum(-1),
+        "buy_or_sell_forward": np.maximum(0.0, x_f + y_f - 1.0).sum(-1),
+        "trade_size_asset": _trade_size(inst, b_a, s_a, x_a, y_a,
+                                        inst.t_min_asset, p_asset),
+        "trade_size_forward": _trade_size(inst, b_f, s_f, x_f, y_f,
+                                          inst.t_min_forward, p_fwd),
+        "currency_exposure": _exposure_excess(inst, np.moveaxis(z, -1, 0), c),
+        # Country activity: z_j demands at least one trade touching currency j.
+        "country_activity": np.maximum(0.0, z - (x_a + y_a) @ onehot).sum(-1),
+        "currency_cardinality": np.maximum(0.0, z.sum(-1) - inst.k_c),
+        "forward_cardinality": np.maximum(0.0, (x_f + y_f).sum(-1) - inst.k_g),
+        "nonnegative_trades": (
+            (np.maximum(0.0, -b_a) * p_asset).sum(-1)
+            + (np.maximum(0.0, -s_a) * p_asset).sum(-1)
+            + (np.maximum(0.0, -b_f) * p_fwd).sum(-1)
+            + (np.maximum(0.0, -s_f) * p_fwd).sum(-1)
+        ) / inst.w0,
+    }
+    return a, q, q_value, c, margin, free_cash, wealth, res
+
+
+def evaluate_first_stage(inst: Instance, sol: Solution) -> FirstStageReport:
+    a, q, q_value, c, margin, free_cash, _, res = _trade(
+        inst, [getattr(sol, f) for f in STAGE_FIELDS],
+        inst.p0_asset, inst.p0_forward, inst.h0, inst.a0, inst.q0)
+    F = inst.forward_sign_matrix() * q_value[..., :, None]
+    return FirstStageReport(a=a, q=q, q_value=q_value, F=F,
+                            c=np.moveaxis(c, 0, -1), margin=margin,
+                            free_cash=free_cash, residuals=res)
+
+
+def _hold(inst: Instance, sol: Solution, first: FirstStageReport,
+          p_asset: np.ndarray, p_fwd: np.ndarray) -> RecourseReport:
+    """Recourse with no trades: the first-stage portfolio in every scenario.
+
+    Wealth is a @ p_asset^T + q @ p_fwd^T + margin + free cash. Only the
+    overlay and exposure residuals depend on prices; the currency
+    cardinality carries over and the rest are zero. Holdings, free cash
+    and the residuals that are constant in every scenario are broadcast
+    views, not N-row copies.
+    """
+    shape = np.shape(first.free_cash) + (p_asset.shape[0],)
+    margin = inst.margin_rate * (np.abs(first.q) @ p_fwd.T)
+    # (C, ...batch, A) position matrices times prices give (C, ...batch, N).
+    fwd_ccy = np.moveaxis(first.q[..., None, :] * inst.forward_sign_matrix().T, -2, 0)
+    asset_ccy = np.moveaxis(first.a[..., None, :] * _currency_onehot(inst).T, -2, 0)
+    overlay_cols = fwd_ccy @ p_fwd.T
+    c = _exposure(inst, asset_ccy @ p_asset.T, overlay_cols, margin)
+    wealth = (first.a @ p_asset.T + first.q @ p_fwd.T + margin
+              + first.free_cash[..., None])
+
+    res = dict.fromkeys(first.residuals, np.broadcast_to(0.0, shape))
+    for key, vec in (("total_overlay", _overlay_excess(inst, overlay_cols, c)),
+                     ("currency_exposure", _exposure_excess(
+                         inst, np.moveaxis(sol.z, -1, 0)[..., None], c))):
+        if vec.any():
+            res[key] = vec
+    res["currency_cardinality"] = np.broadcast_to(
+        first.residuals["currency_cardinality"][..., None], shape)
+    return RecourseReport(
+        a=np.broadcast_to(first.a[..., None, :], shape + (inst.n_assets,)),
+        q=np.broadcast_to(first.q[..., None, :], shape + (inst.n_forwards,)),
+        margin=margin, free_cash=np.broadcast_to(first.free_cash[..., None], shape),
+        wealth=wealth, residuals=res)
 
 
 def evaluate_recourse(inst: Instance, sol: Solution, first: FirstStageReport,
                       p_asset: np.ndarray, p_fwd: np.ndarray) -> RecourseReport:
     """Evaluate all scenarios at once; rows of p_asset/p_fwd are scenarios."""
-    N = p_asset.shape[0]
-    w0 = inst.w0
-    rb_a, rs_a, rx_a, ry_a, rb_f, rs_f, rx_f, ry_f, rz = _recourse_arrays(inst, sol, N)
-
-    a = first.a + rb_a * rx_a - rs_a * ry_a          # N x A
-    q = first.q + rb_f * rx_f - rs_f * ry_f          # N x K
-
-    sale_proceeds = ((rs_a * p_asset) * ry_a).sum(axis=1) + ((rs_f * p_fwd) * ry_f).sum(axis=1)
-    sale_costs = (
-        ((inst.fixed_sell_asset + inst.var_sell_asset * rs_a * p_asset) * ry_a).sum(axis=1)
-        + ((inst.fixed_sell_forward + inst.var_sell_forward * rs_f * p_fwd) * ry_f).sum(axis=1)
-    )
-    buy_outlay = ((rb_a * p_asset) * rx_a).sum(axis=1) + ((rb_f * p_fwd) * rx_f).sum(axis=1)
-    buy_costs = (
-        ((inst.fixed_buy_asset + inst.var_buy_asset * rb_a * p_asset) * rx_a).sum(axis=1)
-        + ((inst.fixed_buy_forward + inst.var_buy_forward * rb_f * p_fwd) * rx_f).sum(axis=1)
-    )
-    available = first.free_cash + sale_proceeds - sale_costs
-    spend = buy_outlay + buy_costs
-    free_cash = np.maximum(0.0, available - spend)
-    cash_violation = np.maximum(0.0, spend - available)
-
-    q_value = q * p_fwd                               # N x K
-    T = inst.forward_sign_matrix()                    # K x C
-    ovl_cols = q_value @ T                            # N x C column sums of F^r
-    margin = inst.margin_rate * (np.abs(q) * p_fwd).sum(axis=1)
-
-    ccy_of_asset = inst.asset_currency_index()
-    asset_value = a * p_asset                         # N x A
-    c = np.zeros((N, inst.n_currencies))
-    np.add.at(c.T, ccy_of_asset, asset_value.T)
-    c += ovl_cols
-    c[:, inst.base_index] += margin
-
-    wealth = asset_value.sum(axis=1) + q_value.sum(axis=1) + margin + free_cash
-
-    res: dict[str, np.ndarray] = {}
-    res["cash_balance"] = cash_violation / w0
-    total_ovl = 0.5 * np.abs(ovl_cols).sum(axis=1)
-    res["total_overlay"] = np.maximum(0.0, total_ovl - inst.v_u * c.sum(axis=1)) / w0
-    res["buy_or_sell_asset"] = np.maximum(0.0, rx_a + ry_a - 1.0).sum(axis=1)
-    res["buy_or_sell_forward"] = np.maximum(0.0, rx_f + ry_f - 1.0).sum(axis=1)
-    res["trade_size_asset"] = (
-        (np.maximum(0.0, inst.t_min_asset * rx_a - rb_a) * p_asset).sum(axis=1)
-        + (np.maximum(0.0, inst.t_min_asset * ry_a - rs_a) * p_asset).sum(axis=1)
-        + (np.maximum(0.0, rb_a - inst.big_b) * p_asset).sum(axis=1)
-        + (np.maximum(0.0, rs_a - inst.big_b) * p_asset).sum(axis=1)
-    ) / w0
-    res["trade_size_forward"] = (
-        (np.maximum(0.0, inst.t_min_forward * rx_f - rb_f) * p_fwd).sum(axis=1)
-        + (np.maximum(0.0, inst.t_min_forward * ry_f - rs_f) * p_fwd).sum(axis=1)
-        + (np.maximum(0.0, rb_f - inst.big_b) * p_fwd).sum(axis=1)
-        + (np.maximum(0.0, rs_f - inst.big_b) * p_fwd).sum(axis=1)
-    ) / w0
-    floor = np.where(rz > 0.5, inst.c_min, -np.inf)
-    res["currency_exposure"] = (
-        np.maximum(0.0, floor - c).sum(axis=1)
-        + np.maximum(0.0, c - inst.c_max).sum(axis=1)
-    ) / w0
-    trades_per_ccy = np.zeros((N, inst.n_currencies))
-    np.add.at(trades_per_ccy.T, ccy_of_asset, (rx_a + ry_a).T)
-    if sol.has_recourse:
-        res["country_activity"] = np.maximum(0.0, rz - trades_per_ccy).sum(axis=1)
-    else:
-        res["country_activity"] = np.zeros(N)
-    res["currency_cardinality"] = np.maximum(0.0, rz.sum(axis=1) - inst.k_c)
-    res["forward_cardinality"] = np.maximum(0.0, (rx_f + ry_f).sum(axis=1) - inst.k_g)
-    res["nonnegative_trades"] = (
-        (np.maximum(0.0, -rb_a) * p_asset).sum(axis=1)
-        + (np.maximum(0.0, -rs_a) * p_asset).sum(axis=1)
-        + (np.maximum(0.0, -rb_f) * p_fwd).sum(axis=1)
-        + (np.maximum(0.0, -rs_f) * p_fwd).sum(axis=1)
-    ) / w0
-
+    if not sol.has_recourse:
+        return _hold(inst, sol, first, p_asset, p_fwd)
+    a, q, _, _, margin, free_cash, wealth, res = _trade(
+        inst, [getattr(sol, "r" + f) for f in STAGE_FIELDS], p_asset, p_fwd,
+        first.free_cash[..., None], first.a[..., None, :], first.q[..., None, :])
     return RecourseReport(a=a, q=q, margin=margin, free_cash=free_cash,
                           wealth=wealth, residuals=res)
-
-
-def wealth(inst: Instance, sol: Solution, first: FirstStageReport,
-           p_asset_row: np.ndarray, p_fwd_row: np.ndarray) -> float:
-    """Terminal wealth for a single scenario (convenience wrapper)."""
-    rep = evaluate_recourse(inst, sol, first,
-                            np.atleast_2d(p_asset_row), np.atleast_2d(p_fwd_row))
-    return float(rep.wealth[0])
 
 
 # ---------------------------------------------------------------------------
@@ -566,32 +547,49 @@ def wealth(inst: Instance, sol: Solution, first: FirstStageReport,
 # ---------------------------------------------------------------------------
 
 
+def _uniform_var(losses: np.ndarray, p: np.ndarray, beta: float):
+    """alpha for equal probabilities, by a partial sort: O(N).
+
+    A uniform p has the same cumulative sums in any order, so the sorted
+    path's index is known before sorting and picks the same loss.
+    """
+    pos = min(int(np.searchsorted(np.cumsum(p), beta - 1e-15)), p.size - 1)
+    return np.take(np.partition(losses, pos, axis=-1), pos, axis=-1)
+
+
+def _sorted_var(losses: np.ndarray, p: np.ndarray, beta: float):
+    """alpha for any probabilities, by a stable sort: O(N log N)."""
+    order = np.argsort(losses, axis=-1, kind="stable")
+    cum = np.cumsum(p[order], axis=-1)
+    pos = np.minimum((cum < beta - 1e-15).sum(axis=-1), p.size - 1)
+    idx = np.take_along_axis(order, pos[..., None], axis=-1)
+    return np.take_along_axis(losses, idx, axis=-1)[..., 0][()]
+
+
 def cvar_objective(losses, probabilities, beta: float) -> tuple[float, float, np.ndarray]:
     """VaR, CVaR and per-scenario shortfalls for a discrete loss distribution.
 
-    alpha is the smallest loss whose cumulative probability reaches beta
-    (for uniform probabilities, the ceil(beta*N)-th smallest loss); it
-    minimizes the discrete Rockafellar-Uryasev auxiliary function, and
+    Scenarios run along the last axis of `losses`; leading axes are a
+    batch that alpha and cvar keep. alpha is the smallest loss whose
+    cumulative probability reaches beta (for uniform probabilities, the
+    ceil(beta*N)-th smallest loss); it minimizes the discrete
+    Rockafellar-Uryasev auxiliary function, and
     cvar = alpha + (1/(1-beta)) * sum(p * max(loss - alpha, 0)).
     """
     losses = np.asarray(losses, dtype=float)
     p = np.asarray(probabilities, dtype=float)
     if losses.size == 0:
         raise EmptyScenarios("no losses")
-    order = np.argsort(losses, kind="stable")
-    cum = np.cumsum(p[order])
-    pos = int(np.searchsorted(cum, beta - 1e-15))
-    pos = min(pos, losses.size - 1)
-    alpha = float(losses[order[pos]])
-    e = np.maximum(losses - alpha, 0.0)
-    cvar = alpha + float(p @ e) / (1.0 - beta)
+    alpha = (_uniform_var if np.all(p == p[0]) else _sorted_var)(losses, p, beta)
+    e = np.maximum(losses - alpha[..., None], 0.0)
+    cvar = alpha + (e @ p) / (1.0 - beta)
     return alpha, cvar, e
 
 
 def expected_return(wealth_vec, probabilities, w0: float) -> float:
     wealth_vec = np.asarray(wealth_vec, dtype=float)
     p = np.asarray(probabilities, dtype=float)
-    return float(p @ (wealth_vec / w0 - 1.0))
+    return (wealth_vec / w0 - 1.0) @ p
 
 
 def target_residual(wealth_vec, probabilities, w0: float, mu: float) -> float:
@@ -615,29 +613,47 @@ class Evaluation:
     residuals: dict[str, float] = field(repr=False)
 
 
+def _score(inst: Instance, first: FirstStageReport, rec: RecourseReport,
+           probabilities: np.ndarray):
+    """(fitness, cvar, alpha, expected return, violation, residuals),
+    each over the batch axes."""
+    losses = -(rec.wealth / inst.w0 - 1.0)
+    alpha, cvar, _ = cvar_objective(losses, probabilities, inst.beta)
+    exp_ret = expected_return(rec.wealth, probabilities, inst.w0)
+
+    residuals = dict(first.residuals)
+    for key, vec in rec.residuals.items():
+        residuals["recourse_" + key] = vec.mean(axis=-1)
+    residuals["return_target"] = np.maximum(0.0, inst.mu - exp_ret)
+    violation = sum(residuals.values())
+    fitness = cvar + 1e3 * np.maximum(1.0, np.abs(cvar)) * violation
+    return fitness, cvar, alpha, exp_ret, violation, residuals
+
+
 def evaluate(inst: Instance, sol: Solution, scen: ScenarioSet,
              p_asset: np.ndarray | None = None,
              p_fwd: np.ndarray | None = None) -> Evaluation:
-    """Full evaluation: stages, wealth, CVaR, penalty-combined fitness."""
+    """Full evaluation of one solution: stages, wealth, CVaR, penalty-combined fitness."""
     if p_asset is None or p_fwd is None:
         p_asset, p_fwd = scenario_prices(inst, scen)
     first = evaluate_first_stage(inst, sol)
     rec = evaluate_recourse(inst, sol, first, p_asset, p_fwd)
-    losses = -(rec.wealth / inst.w0 - 1.0)
-    alpha, cvar, _ = cvar_objective(losses, scen.probabilities, inst.beta)
-    exp_ret = expected_return(rec.wealth, scen.probabilities, inst.w0)
-
-    residuals = dict(first.residuals)
-    for key, vec in rec.residuals.items():
-        residuals["recourse_" + key] = float(vec.mean())
-    residuals["return_target"] = max(0.0, inst.mu - exp_ret)
-    violation = float(sum(residuals.values()))
-    w_c = 1e3 * max(1.0, abs(cvar))
-    fitness = cvar + w_c * violation
-    return Evaluation(fitness=fitness, cvar=cvar, alpha=alpha,
-                      expected_return=exp_ret, violation=violation,
-                      first=first, recourse=rec, residuals=residuals)
+    fitness, cvar, alpha, exp_ret, violation, residuals = _score(
+        inst, first, rec, scen.probabilities)
+    return Evaluation(fitness=float(fitness), cvar=float(cvar), alpha=float(alpha),
+                      expected_return=float(exp_ret), violation=float(violation),
+                      first=first, recourse=rec,
+                      residuals={k: float(v) for k, v in residuals.items()})
 
 
-def penalized_fitness(inst: Instance, sol: Solution, scen: ScenarioSet) -> float:
-    return evaluate(inst, sol, scen).fitness
+def population_fitness(inst: Instance, sols: Solution, scen: ScenarioSet,
+                       p_asset: np.ndarray, p_fwd: np.ndarray) -> np.ndarray:
+    """Fitness of every solution in a population in one pass.
+
+    The fields of `sols` carry a leading population axis, as `ga.decode`
+    makes them from a (P, L) gene array. Entry i is `evaluate`'s fitness
+    of solution i, up to the order of floating-point sums.
+    """
+    first = evaluate_first_stage(inst, sols)
+    rec = evaluate_recourse(inst, sols, first, p_asset, p_fwd)
+    return _score(inst, first, rec, scen.probabilities)[0]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import marginals, rvine
 from .bicop import ALL_FAMILIES
-from .errors import CovarianceFailure, EmptyPanel, MissingRateSeries
+from .errors import CovarianceFailure, EmptyPanel, InvalidScenarios, MissingRateSeries
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,9 @@ class ScenarioSet:
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("scenario values must be finite")
+            raise InvalidScenarios("scenario values must be finite")
         if abs(self.probabilities.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
+            raise InvalidScenarios("probabilities must sum to 1")
 
     @property
     def n_scenarios(self) -> int:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vinefolio import ga
+from vinefolio import ga, model
 from vinefolio.errors import LengthMismatch
 from vinefolio.ga import (
     GAConfig, build_layout, crossover_arithmetic, decode, encode,
@@ -10,6 +10,8 @@ from vinefolio.ga import (
 )
 from vinefolio.model import Instance, zero_solution
 from vinefolio.scenarios import ScenarioSet
+
+from test_acceptance import _market_instance
 
 
 def _tiny_instance(mu=0.0, **overrides):
@@ -50,6 +52,17 @@ def _tiny_instance(mu=0.0, **overrides):
     )
     kwargs.update(overrides)
     return Instance(**kwargs)
+
+
+def _market_scenarios(n, seed):
+    """Scenarios over the acceptance market's columns."""
+    rng = np.random.default_rng(seed)
+    vals = np.column_stack([
+        rng.normal(0.008, 0.04, (n, 3)), rng.normal(0.003, 0.01, (n, 2)),
+        np.zeros(n), rng.normal(0.0, 0.02, n),
+    ])
+    return ScenarioSet(("EQ_A", "EQ_B", "EQ_C", "BD_A", "BD_B", "USD", "GBP"),
+                       vals, np.full(n, 1.0 / n))
 
 
 def _tiny_scenarios(n=20, seed=0):
@@ -291,3 +304,85 @@ def test_run_full_mode_smoke():
     result = ga.run(inst, scen, cfg)
     assert result.solution.has_recourse
     assert len(result.trace) == 5
+
+
+# ---------------------------------------------------------------------------
+# Population evaluation
+# ---------------------------------------------------------------------------
+
+
+def _random_population(layout, P, rng):
+    """Trades up to a fifth of their cap, every flag a fair coin, so that
+    recourse trades are switched on in full mode."""
+    genes = layout.lower + 0.2 * rng.random((P, layout.length)) * layout.gene_range
+    genes[:, layout.is_binary] = rng.random((P, int(layout.is_binary.sum())))
+    return genes
+
+
+def _one_by_one(layout, pop, scen):
+    inst = layout.instance
+    return np.array([model.evaluate(inst, decode(layout, g), scen).fitness for g in pop])
+
+
+@pytest.mark.parametrize("market", [False, True])
+@pytest.mark.parametrize("mode", ["no-recourse-trades", "full"])
+def test_batched_fitness_matches_evaluate(market, mode):
+    inst = _market_instance(mu=0.003) if market else _tiny_instance(mu=0.005)
+    scen = _market_scenarios(30, 1) if market else _tiny_scenarios(30)
+    layout = build_layout(inst, scen.n_scenarios, mode)
+    pop = _random_population(layout, 16, np.random.default_rng(2))
+    p_asset, p_fwd = model.scenario_prices(inst, scen)
+    if mode == "full":
+        assert decode(layout, pop).rx_asset.any()
+    batched = ga._population_fitness(layout, pop, scen, p_asset, p_fwd)
+    np.testing.assert_allclose(batched, _one_by_one(layout, pop, scen),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_full_mode_chunks_match_individual_evaluation():
+    inst = _market_instance(mu=0.003)
+    scen = _market_scenarios(2000, 3)
+    layout = build_layout(inst, scen.n_scenarios, "full")
+    rows = ga._CHUNK_ELEMENTS // layout.length
+    pop = _random_population(layout, 2 * rows + 1, np.random.default_rng(4))
+    assert 1 <= rows < len(pop)
+    p_asset, p_fwd = model.scenario_prices(inst, scen)
+    batched = ga._population_fitness(layout, pop, scen, p_asset, p_fwd)
+    np.testing.assert_allclose(batched, _one_by_one(layout, pop, scen),
+                               rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", ["no-recourse-trades", "full"])
+def test_result_fitness_matches_trace_and_evaluation(mode):
+    inst = _market_instance(mu=0.002)
+    scen = _market_scenarios(15, 5)
+    cfg = GAConfig(population=16, generations=6, seed=3, elite_count=2,
+                   recourse_mode=mode)
+    result = ga.run(inst, scen, cfg)
+    assert result.fitness == pytest.approx(result.evaluation.fitness, rel=1e-12, abs=1e-15)
+    # The trace records the best-so-far before each generation, so one
+    # more generation on the same stream ends on this run's final best.
+    longer = ga.run(inst, scen, GAConfig(population=16, generations=7, seed=3,
+                                         elite_count=2, recourse_mode=mode))
+    assert longer.trace[-1][1] == pytest.approx(result.fitness, rel=1e-12, abs=1e-15)
+
+
+# Results of these fixed-seed solves before generations were evaluated
+# in one batched pass.
+GOLDEN = [
+    (("no-recourse-trades", 0.003, 60, 24, 15, 2), 0.016759986837544903,
+     [0.0, 1.3209719690864508, 0.983080339776526, 0.0, 0.32293274658017856]),
+    (("full", 0.002, 12, 16, 10, 3), 0.0055439687053828735,
+     [0.0, 0.0, 1.1081026781320313, 0.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("case,fitness,b_asset", GOLDEN)
+def test_golden_fixed_seed_results(case, fitness, b_asset):
+    mode, mu, n, population, generations, seed = case
+    cfg = GAConfig(population=population, generations=generations, seed=seed,
+                   elite_count=2, recourse_mode=mode)
+    result = ga.run(_market_instance(mu), _market_scenarios(n, seed), cfg)
+    assert result.fitness == pytest.approx(fitness, rel=1e-12)
+    assert result.cvar == pytest.approx(fitness, rel=1e-12)
+    np.testing.assert_allclose(result.solution.b_asset, b_asset, rtol=1e-12, atol=1e-15)

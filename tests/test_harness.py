@@ -62,6 +62,16 @@ def test_load_panel_non_numeric_cell(tmp_path):
     assert exc_info.value.line == 5
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_panel_non_finite_cell(tmp_path, cell):
+    rows = list(GOOD_ROWS)
+    rows.append(f"2020-04,0.01,{cell},0.0,0.001,0.002")
+    path = _write_panel(tmp_path / "panel.csv", rows)
+    with pytest.raises(NonNumericCell) as exc_info:
+        harness.load_panel(path, ASSET_CCY, "USD")
+    assert exc_info.value.line == 5
+
+
 def test_load_panel_ragged_row(tmp_path):
     rows = list(GOOD_ROWS)
     rows.append("2020-04,0.01,0.01")
@@ -331,6 +341,41 @@ def test_cli_missing_config_key_exits_1(tmp_path):
     r = runner.invoke(cli.main, ["gen-scenarios", "--config", str(cfg),
                                  "--out", str(tmp_path / "out")])
     assert r.exit_code == 1
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_cli_non_finite_panel_cell_exits_1(tmp_path, cell):
+    ws = _cli_workspace(tmp_path)
+    lines = (ws / "panel.csv").read_text().splitlines()
+    lines[3] = lines[3].replace("0.001", cell, 1)        # file line 4
+    (ws / "panel.csv").write_text("\n".join(lines) + "\n")
+    r = CliRunner().invoke(cli.main, ["gen-scenarios", "--config", str(ws / "config.json"),
+                                      "--method", "mvn", "--n", "20",
+                                      "--out", str(ws / "out")])
+    assert r.exit_code == 1, r.output
+    assert "line 4" in r.output
+
+
+SCENARIO_HEADER = "scenario_id,EQ_US,EQ_UK,GBP,USD\n"
+
+
+@pytest.mark.parametrize("text", [
+    "",                                                   # no header: ParseError
+    SCENARIO_HEADER,                                      # no rows: EmptyScenarios
+    SCENARIO_HEADER + "0,0.01,abc,0.0,0.0\n",             # NonNumericCell
+    SCENARIO_HEADER + "0,0.01,0.02\n",                    # ragged row: ParseError
+    SCENARIO_HEADER + "0,0.01,nan,0.0,0.0\n",             # ScenarioSet: InvalidScenarios
+], ids=["empty", "header-only", "non-numeric", "ragged", "non-finite"])
+def test_cli_bad_scenario_file_exits_1(tmp_path, text):
+    ws = _cli_workspace(tmp_path)
+    (ws / "scen.csv").write_text(text)
+    cfg = json.loads((ws / "config.json").read_text())
+    cfg["scenarios"] = "scen.csv"
+    (ws / "config.json").write_text(json.dumps(cfg))
+    r = CliRunner().invoke(cli.main, ["optimize", "--config", str(ws / "config.json"),
+                                      "--out", str(ws / "opt")])
+    assert r.exit_code == 1, r.output
+    assert r.output.startswith("error:")
 
 
 def test_cli_optimize_and_backtest_chain(tmp_path):

@@ -6,7 +6,7 @@ from vinefolio.errors import EmptyScenarios, InvalidParameter, MissingColumn
 from vinefolio.model import (
     Instance, Solution, cvar_objective, evaluate, evaluate_first_stage,
     evaluate_recourse, expected_return, instance_from_dict, instance_to_dict,
-    load_instance, save_instance, scenario_prices, target_residual, wealth,
+    load_instance, save_instance, scenario_prices, target_residual,
     with_return_target, zero_solution,
 )
 from vinefolio.scenarios import ScenarioSet
@@ -312,7 +312,8 @@ def test_value_conservation_zero_costs_zero_returns():
     first = evaluate_first_stage(inst, sol)
     scen = _scenario_set([[0.0, 0.0, 0.0, 0.0]])
     p_a, p_f = scenario_prices(inst, scen)
-    assert wealth(inst, sol, first, p_a[0], p_f[0]) == pytest.approx(100.0, abs=1e-10)
+    rep = evaluate_recourse(inst, sol, first, p_a, p_f)
+    assert rep.wealth[0] == pytest.approx(100.0, abs=1e-10)
 
 
 def test_forward_purchase_is_wealth_neutral():
@@ -323,7 +324,8 @@ def test_forward_purchase_is_wealth_neutral():
     assert first.free_cash == pytest.approx(90.0, abs=1e-12)
     scen = _scenario_set([[0.0, 0.0, 0.0, 0.0]])
     p_a, p_f = scenario_prices(inst, scen)
-    assert wealth(inst, sol, first, p_a[0], p_f[0]) == pytest.approx(100.0, abs=1e-12)
+    rep = evaluate_recourse(inst, sol, first, p_a, p_f)
+    assert rep.wealth[0] == pytest.approx(100.0, abs=1e-12)
 
 
 def test_recourse_vectorization_matches_single_rows():
@@ -336,8 +338,8 @@ def test_recourse_vectorization_matches_single_rows():
     p_a, p_f = scenario_prices(inst, scen)
     rep = evaluate_recourse(inst, sol, first, p_a, p_f)
     for r in range(6):
-        assert rep.wealth[r] == pytest.approx(
-            wealth(inst, sol, first, p_a[r], p_f[r]), abs=1e-12)
+        row = evaluate_recourse(inst, sol, first, p_a[r:r + 1], p_f[r:r + 1])
+        assert rep.wealth[r] == pytest.approx(row.wealth[0], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +399,44 @@ def test_cvar_empty_rejected():
         cvar_objective(np.array([]), np.array([]), 0.9)
 
 
+def _reference_cvar(losses, p, beta):
+    """The sorted-order computation, one loss vector at a time."""
+    order = np.argsort(losses, kind="stable")
+    pos = min(int(np.searchsorted(np.cumsum(p[order]), beta - 1e-15)), losses.size - 1)
+    alpha = float(losses[order[pos]])
+    return alpha, alpha + float(p @ np.maximum(losses - alpha, 0.0)) / (1.0 - beta)
+
+
+@pytest.mark.parametrize("n", [1, 2, 19, 20, 500, 2000])
+@pytest.mark.parametrize("beta", [0.9, 0.95, 0.99])
+def test_cvar_partition_and_sorted_paths_agree(n, beta):
+    rng = np.random.default_rng(n)
+    # few distinct values, so that the VaR position falls inside ties
+    losses = rng.integers(0, max(2, n // 8), (3, n)) / 7.0
+    p = np.full(n, 1.0 / n)
+    batch_alpha, batch_cvar, _ = cvar_objective(losses, p, beta)
+    for row in range(3):
+        alpha_u = model._uniform_var(losses[row], p, beta)
+        alpha_s = model._sorted_var(losses[row], p, beta)
+        assert alpha_u == alpha_s
+        alpha, cvar, _ = cvar_objective(losses[row], p, beta)
+        assert (alpha, cvar) == _reference_cvar(losses[row], p, beta)
+        assert batch_alpha[row] == alpha
+        assert batch_cvar[row] == pytest.approx(cvar, rel=1e-12, abs=1e-15)
+
+
+def test_cvar_sorted_path_batches_nonuniform_probabilities():
+    rng = np.random.default_rng(7)
+    losses = rng.normal(size=(4, 50))
+    p = rng.random(50)
+    p /= p.sum()
+    alpha, cvar, _ = cvar_objective(losses, p, 0.9)
+    for row in range(4):
+        ref_alpha, ref_cvar = _reference_cvar(losses[row], p, 0.9)
+        assert alpha[row] == ref_alpha
+        assert cvar[row] == pytest.approx(ref_cvar, rel=1e-12)
+
+
 def test_expected_return_and_target_residual():
     w = np.array([110.0, 90.0])
     p = np.array([0.5, 0.5])
@@ -452,3 +492,56 @@ def test_penalty_dominates_objective():
     assert feasible.violation == 0.0
     assert infeasible.violation > 0.0
     assert infeasible.fitness > feasible.fitness + 100.0
+
+
+# ---------------------------------------------------------------------------
+# Population evaluation
+# ---------------------------------------------------------------------------
+
+
+def _random_solutions(inst, rng, P, N=None):
+    """P random solutions stacked on a leading axis, recourse optional."""
+    def stage(*lead):
+        na, nf, nc = inst.n_assets, inst.n_forwards, inst.n_currencies
+        flags = lambda n: (rng.random(lead + (n,)) < 0.5).astype(float)
+        x_a, y_a, x_f, y_f = flags(na), flags(na), flags(nf), flags(nf)
+        return dict(
+            b_asset=rng.uniform(0.0, 5.0, lead + (na,)) * x_a,
+            s_asset=rng.uniform(0.0, 1.0, lead + (na,)) * y_a,
+            x_asset=x_a, y_asset=y_a,
+            b_fwd=rng.uniform(0.0, 5.0, lead + (nf,)) * x_f,
+            s_fwd=rng.uniform(0.0, 1.0, lead + (nf,)) * y_f,
+            x_fwd=x_f, y_fwd=y_f, z=flags(nc),
+        )
+    fields = stage(P)
+    if N is not None:
+        fields.update({"r" + k: v for k, v in stage(P, N).items()})
+    return Solution(**fields)
+
+
+def _member(sols, i):
+    return Solution(**{k: None if v is None else v[i] for k, v in sols.__dict__.items()})
+
+
+@pytest.mark.parametrize("recourse", [False, True])
+def test_population_fitness_matches_evaluate(recourse):
+    inst = _make_instance(mu=0.01)
+    rng = np.random.default_rng(11)
+    scen = _scenario_set(rng.normal(0.0, 0.03, (25, 4)))
+    p_a, p_f = scenario_prices(inst, scen)
+    sols = _random_solutions(inst, rng, 9, 25 if recourse else None)
+    batch = model.population_fitness(inst, sols, scen, p_a, p_f)
+    single = [evaluate(inst, _member(sols, i), scen).fitness for i in range(9)]
+    np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0.0)
+
+
+def test_no_recourse_report_holds_views():
+    inst = _make_instance()
+    scen = _scenario_set(np.random.default_rng(0).normal(0.0, 0.03, (30, 4)))
+    rec = evaluate(inst, _hand_solution(), scen).recourse
+    assert rec.wealth.shape == (30,) and rec.a.shape == (30, 2)
+    # the hand solution meets its overlay and exposure limits everywhere
+    for arr in (rec.a, rec.q, rec.free_cash, rec.residuals["cash_balance"],
+                rec.residuals["currency_cardinality"], rec.residuals["total_overlay"],
+                rec.residuals["currency_exposure"]):
+        assert arr.strides[0] == 0

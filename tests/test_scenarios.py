@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vinefolio import scenarios
-from vinefolio.errors import EmptyPanel, MissingRateSeries
+from vinefolio.errors import EmptyPanel, MissingRateSeries, VinefolioError
 from vinefolio.scenarios import ReturnPanel, ScenarioSet, adjust_returns
 
 
@@ -229,6 +229,13 @@ def test_scenario_set_validates():
     with pytest.raises(ValueError):
         ScenarioSet(("a",), np.array([[np.inf]]), np.array([1.0]))
     with pytest.raises(ValueError):
+        ScenarioSet(("a",), np.array([[0.0]]), np.array([0.7]))
+
+
+def test_scenario_set_errors_are_named():
+    with pytest.raises(VinefolioError):
+        ScenarioSet(("a",), np.array([[np.nan]]), np.array([1.0]))
+    with pytest.raises(VinefolioError):
         ScenarioSet(("a",), np.array([[0.0]]), np.array([0.7]))
 
 
