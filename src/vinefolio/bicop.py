@@ -112,6 +112,10 @@ class FittedBicop:
             return 0
         return 2 if self.family is CopulaFamily.STUDENT_T else 1
 
+    @property
+    def aic(self) -> float:
+        return 2.0 * self.n_params - 2.0 * self.loglik
+
 
 def _clip(u):
     return np.clip(np.asarray(u, dtype=float), EPS, 1.0 - EPS)
@@ -183,12 +187,6 @@ def _t_hinv(w, v, rho, df):
     return stats.t.cdf(x, df)
 
 
-def _clayton_cdf(u, v, th):
-    return np.power(
-        np.maximum(np.power(u, -th) + np.power(v, -th) - 1.0, EPS), -1.0 / th
-    )
-
-
 def _clayton_pdf(u, v, th):
     lu, lv = np.log(u), np.log(v)
     s = np.power(u, -th) + np.power(v, -th) - 1.0
@@ -212,11 +210,6 @@ def _gumbel_pieces(u, v, th):
     s = np.power(lu, th) + np.power(lv, th)
     a = np.power(s, 1.0 / th)
     return lu, lv, s, a
-
-
-def _gumbel_cdf(u, v, th):
-    _, _, _, a = _gumbel_pieces(u, v, th)
-    return np.exp(-a)
 
 
 def _gumbel_pdf(u, v, th):
@@ -544,9 +537,8 @@ def select_family(u_series, v_series, candidates=ALL_FAMILIES) -> FittedBicop:
         except (FitFailure, InvalidParameter) as exc:
             last_error = exc
             continue
-        aic = 2.0 * fitted.n_params - 2.0 * fitted.loglik
-        if aic < best_aic:
-            best, best_aic = fitted, aic
+        if fitted.aic < best_aic:
+            best, best_aic = fitted, fitted.aic
     if best is None:
         raise FitFailure(f"all candidates failed: {last_error}")
     return best

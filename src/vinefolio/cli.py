@@ -18,9 +18,7 @@ import numpy as np
 import scipy
 
 from . import __version__, ga, harness, model, rvine, scenarios
-from .bicop import ALL_FAMILIES
-from .errors import EmptyScenarios, VinefolioError
-from .marginals import effectively_constant, pit_transform
+from .errors import EmptyScenarios, FitFailure, VinefolioError
 from .scenarios import ReturnPanel, ScenarioSet, adjust_returns
 
 
@@ -159,17 +157,13 @@ def fit_vine_cmd(config_path: str, out_dir: str) -> None:
         cfg_dir = Path(config_path).resolve().parent
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        panel = _load_adjusted_panel(cfg, cfg_dir)
-        names = panel.column_names()
-        matrix = panel.column_matrix()
-        live = [i for i in range(len(names))
-                if not effectively_constant(matrix[:, i])]
-        uniforms, _ = pit_transform({names[i]: matrix[:, i] for i in live})
-        spec = rvine.select_and_fit(uniforms, ALL_FAMILIES,
-                                    column_order=[names[i] for i in live])
+        fitted = scenarios.fit_rvc(_load_adjusted_panel(cfg, cfg_dir))
+        if fitted.spec is None:
+            raise FitFailure(f"need >= 2 live columns to fit a vine, got {len(fitted.live)}")
+        spec = fitted.spec
         (out / "vine.json").write_text(rvine.to_json(spec) + "\n")
         (out / "vine_columns.json").write_text(
-            json.dumps([names[i] for i in live]) + "\n")
+            json.dumps([fitted.columns[i] for i in fitted.live]) + "\n")
         _write_manifest(out, "fit-vine", None, {"config": cfg})
         click.echo(f"fitted {spec.dimension}-dimensional vine -> {out / 'vine.json'}")
     _run(body)
@@ -283,11 +277,11 @@ def frontier_cmd(config_path, method, n_scenarios, seed, kc, kg, out_dir) -> Non
         with open(out / "frontier.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["mu", "achieved_return", "cvar", "equity_share",
-                             "fx_exposure", "total_overlay", "status"])
+                             "fx_exposure", "total_overlay", "status", "reason"])
             for p in points:
                 writer.writerow([repr(p.mu), repr(p.achieved_return), repr(p.cvar),
                                  repr(p.equity_share), repr(p.fx_exposure),
-                                 repr(p.total_overlay), p.status])
+                                 repr(p.total_overlay), p.status, p.reason])
         _write_manifest(out, "frontier", seed, {
             "config": cfg, "method": method, "n": n_scenarios,
             "kc": kc, "kg": kg,
@@ -353,11 +347,14 @@ def stability_cmd(config_path: str, method: str, seed: int, out_dir: str) -> Non
         with open(out / "stability.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["size", "n_solved", "n_failed", "average",
-                             "std", "range", "min", "max"])
+                             "std", "range", "min", "max", "failures"])
             for row in rows:
+                failures = "; ".join(f"seed={s} mu={mu!r}: {reason}"
+                                     for s, mu, reason in row["failures"])
                 writer.writerow([row["size"], row["n_solved"], row["n_failed"],
                                  repr(row["average"]), repr(row["std"]),
-                                 repr(row["range"]), repr(row["min"]), repr(row["max"])])
+                                 repr(row["range"]), repr(row["min"]), repr(row["max"]),
+                                 failures])
         _write_manifest(out, "stability", seed, {
             "config": cfg, "method": method, "sizes": sizes, "seeds": seeds,
         })

@@ -137,18 +137,6 @@ def decode(layout: ChromosomeLayout, genes: np.ndarray) -> Solution:
     return Solution(**first, **{"r" + k: v for k, v in _decode_stage(inst, rec).items()})
 
 
-def encode(layout: ChromosomeLayout, sol: Solution) -> np.ndarray:
-    first = np.concatenate([getattr(sol, f) for f in model.STAGE_FIELDS])
-    if layout.recourse_mode != "full":
-        return first
-    if sol.has_recourse:
-        rec = np.concatenate([getattr(sol, "r" + f) for f in model.STAGE_FIELDS],
-                             axis=-1).ravel()
-    else:
-        rec = np.zeros(layout.n_scenarios * stage_length(layout.instance))
-    return np.concatenate([first, rec])
-
-
 # ---------------------------------------------------------------------------
 # Genetic operators
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import ga as ga_mod
 from . import model
-from .errors import MissingColumn, MissingRateSeries, NonNumericCell, ParseError
+from .errors import (MissingColumn, MissingRateSeries, NonNumericCell, ParseError,
+                     VinefolioError)
 from .model import Instance, Solution
 from .scenarios import ReturnPanel, ScenarioSet, adjust_returns
 
@@ -128,16 +129,21 @@ class FrontierPoint:
     fx_exposure: float
     total_overlay: float
     status: str                      # solved | infeasible | target-unreachable
+    reason: str = ""                 # why a point is not solved
 
 
-def _classify(ev: model.Evaluation) -> str:
+def _classify(ev: model.Evaluation) -> tuple[str, str]:
+    """Status, and unless solved the positive residuals, largest first."""
     target_res = ev.residuals.get("return_target", 0.0)
     other = ev.violation - target_res
     if other > FEASIBILITY_TOL:
-        return "infeasible"
-    if target_res > FEASIBILITY_TOL:
-        return "target-unreachable"
-    return "solved"
+        status = "infeasible"
+    elif target_res > FEASIBILITY_TOL:
+        status = "target-unreachable"
+    else:
+        return "solved", ""
+    positive = sorted((v, k) for k, v in ev.residuals.items() if v > 0.0)
+    return status, "; ".join(f"{k}={v:.6g}" for v, k in reversed(positive))
 
 
 def _point_from_result(inst: Instance, result: ga_mod.GAResult, mu: float) -> FrontierPoint:
@@ -146,6 +152,7 @@ def _point_from_result(inst: Instance, result: ga_mod.GAResult, mu: float) -> Fr
     asset_value = float(first.a @ inst.p0_asset)
     fx = float(np.delete(first.c, inst.base_index).sum())
     ovl = 0.5 * float(np.abs(first.F.sum(axis=0)).sum()) if first.F.size else 0.0
+    status, reason = _classify(ev)
     return FrontierPoint(
         mu=mu,
         achieved_return=ev.expected_return,
@@ -153,25 +160,29 @@ def _point_from_result(inst: Instance, result: ga_mod.GAResult, mu: float) -> Fr
         equity_share=asset_value / inst.w0,
         fx_exposure=fx / inst.w0,
         total_overlay=ovl / inst.w0,
-        status=_classify(ev),
+        status=status,
+        reason=reason,
     )
 
 
 def frontier(inst: Instance, scen: ScenarioSet, mu_grid,
              config: ga_mod.GAConfig) -> list[FrontierPoint]:
-    """One GA solve per return target; failures become status flags."""
+    """One GA solve per return target.
+
+    A solve that raises a `VinefolioError` becomes an `infeasible` row
+    with the error as its reason; any other exception propagates.
+    """
     points = []
     for mu in mu_grid:
         target_inst = model.with_return_target(inst, float(mu))
         try:
             result = ga_mod.run(target_inst, scen, config)
-            points.append(_point_from_result(target_inst, result, float(mu)))
-        except Exception:  # noqa: BLE001 - the sweep must never abort
-            points.append(FrontierPoint(
-                mu=float(mu), achieved_return=float("nan"), cvar=float("nan"),
-                equity_share=float("nan"), fx_exposure=float("nan"),
-                total_overlay=float("nan"), status="infeasible",
-            ))
+        except VinefolioError as exc:
+            nan = float("nan")
+            points.append(FrontierPoint(float(mu), nan, nan, nan, nan, nan,
+                                        "infeasible", repr(exc)))
+            continue
+        points.append(_point_from_result(target_inst, result, float(mu)))
     return points
 
 

@@ -592,10 +592,6 @@ def expected_return(wealth_vec, probabilities, w0: float) -> float:
     return (wealth_vec / w0 - 1.0) @ p
 
 
-def target_residual(wealth_vec, probabilities, w0: float, mu: float) -> float:
-    return max(0.0, mu - expected_return(wealth_vec, probabilities, w0))
-
-
 # ---------------------------------------------------------------------------
 # Penalized fitness
 # ---------------------------------------------------------------------------

@@ -371,22 +371,21 @@ def sample(spec: RVineSpec, N: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_EDGE_KEYS = ("families", "theta", "theta2", "loglik", "n_obs", "tau", "aic")
+
+
 def to_json(spec: RVineSpec) -> str:
+    """Structure and one n x n matrix per key of `_EDGE_KEYS`: family,
+    parameters, log-likelihood, observation count, implied Kendall's tau
+    and AIC of each edge. Cells without an edge hold "", 0.0 and nulls."""
     n = spec.dimension
-    families = [["" for _ in range(n)] for _ in range(n)]
-    theta = [[0.0] * n for _ in range(n)]
-    theta2 = [[None] * n for _ in range(n)]
+    cells = [[("", 0.0) + (None,) * 5] * n for _ in range(n)]
     for (i, j), cop in spec.copulas.items():
-        families[i][j] = cop.family.value
-        theta[i][j] = cop.theta
-        theta2[i][j] = cop.theta2
-    doc = {
-        "dimension": n,
-        "structure": spec.structure.astype(int).ravel().tolist(),
-        "families": families,
-        "theta": theta,
-        "theta2": theta2,
-    }
+        cells[i][j] = (cop.family.value, cop.theta, cop.theta2, cop.loglik,
+                       cop.n_obs, bicop.model_tau(cop), cop.aic)
+    doc = {"dimension": n, "structure": spec.structure.astype(int).ravel().tolist()}
+    for k, key in enumerate(_EDGE_KEYS):
+        doc[key] = [[cell[k] for cell in row] for row in cells]
     return json.dumps(doc, indent=2)
 
 
@@ -401,5 +400,6 @@ def from_json(text: str) -> RVineSpec:
             copulas[(i, j)] = FittedBicop(
                 fam, float(doc["theta"][i][j]),
                 None if doc["theta2"][i][j] is None else float(doc["theta2"][i][j]),
+                loglik=float(doc["loglik"][i][j]), n_obs=int(doc["n_obs"][i][j]),
             )
     return RVineSpec(dimension=n, structure=structure, copulas=copulas)

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import marginals, rvine
 from .bicop import ALL_FAMILIES
-from .errors import CovarianceFailure, EmptyPanel, InvalidScenarios, MissingRateSeries
+from .errors import (CovarianceFailure, EmptyPanel, InvalidScenarios, MissingRateSeries,
+                     VinefolioError)
 
 
 @dataclass(frozen=True)
@@ -106,47 +107,52 @@ def adjust_returns(panel: ReturnPanel) -> ReturnPanel:
     return replace(panel, assets=assets, currencies=currencies, adjusted=True)
 
 
-def _split_constant_columns(names, matrix):
-    """Columns with (effectively) zero variance are carried as constants."""
-    flags = [marginals.effectively_constant(matrix[:, i]) for i in range(len(names))]
-    live = [i for i in range(len(names)) if not flags[i]]
-    const = {i: float(matrix[0, i]) for i in range(len(names)) if flags[i]}
-    return live, const
+@dataclass(frozen=True)
+class FittedRVC:
+    """KDEs of the `live` columns and, if two or more are live, an R-vine
+    over them in the same order; other columns are `constants`."""
+
+    columns: tuple[str, ...]
+    live: tuple[int, ...]
+    constants: dict[int, float]
+    kdes: tuple[marginals.MarginalModel, ...]
+    spec: rvine.RVineSpec | None
 
 
-def generate_rvc(panel: ReturnPanel, N: int, candidates=ALL_FAMILIES,
-                 seed: int = 0) -> ScenarioSet:
-    """Vine-copula scenarios: PIT, sequential vine fit, sample, invert."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+def fit_rvc(panel: ReturnPanel, candidates=ALL_FAMILIES) -> FittedRVC:
+    """PIT through per-column KDEs, then a sequential R-vine fit."""
     names = panel.column_names()
     if not names:
         raise EmptyPanel("panel has no columns")
     matrix = panel.column_matrix()
-    live, const = _split_constant_columns(names, matrix)
+    # Columns with (effectively) zero variance are carried as constants.
+    const = {i: float(matrix[0, i]) for i in range(len(names))
+             if marginals.effectively_constant(matrix[:, i])}
+    live = [i for i in range(len(names)) if i not in const]
+    live_names = [names[i] for i in live]
+    uniforms, models = (marginals.pit_transform({names[i]: matrix[:, i] for i in live})
+                        if live else ({}, {}))
+    spec = (rvine.select_and_fit(uniforms, candidates, column_order=live_names)
+            if len(live) > 1 else None)
+    return FittedRVC(tuple(names), tuple(live), const,
+                     tuple(models[n] for n in live_names), spec)
 
-    values = np.empty((N, len(names)))
-    for idx, val in const.items():
+
+def generate_rvc(panel: ReturnPanel, N: int, candidates=ALL_FAMILIES,
+                 seed: int = 0, fitted: FittedRVC | None = None) -> ScenarioSet:
+    """Vine-copula scenarios: fit the panel unless `fitted` is its fit, then
+    draw vine uniforms and map them through the inverse KDEs."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    fitted = fitted or fit_rvc(panel, candidates)
+    values = np.empty((N, len(fitted.columns)))
+    for idx, val in fitted.constants.items():
         values[:, idx] = val
-
-    if len(live) == 1:
-        idx = live[0]
-        model = marginals.fit_kde(matrix[:, idx])
-        u = np.random.default_rng(seed).random(N)
-        values[:, idx] = np.asarray(marginals.inv_cdf(model, u))
-    elif live:
-        cols = {names[i]: matrix[:, i] for i in live}
-        uniforms, models = marginals.pit_transform(cols)
-        spec = rvine.select_and_fit(uniforms, candidates,
-                                    column_order=[names[i] for i in live])
-        u = rvine.sample(spec, N, seed)
-        for pos, idx in enumerate(live):
-            values[:, idx] = np.asarray(
-                marginals.inv_cdf(models[names[idx]], u[:, pos])
-            )
-
-    probs = np.full(N, 1.0 / N)
-    return ScenarioSet(tuple(names), values, probs, method="rvc", seed=seed)
+    u = (np.random.default_rng(seed).random((N, len(fitted.live)))
+         if fitted.spec is None else rvine.sample(fitted.spec, N, seed))
+    for pos, idx in enumerate(fitted.live):
+        values[:, idx] = marginals.inv_cdf(fitted.kdes[pos], u[:, pos])
+    return ScenarioSet(fitted.columns, values, np.full(N, 1.0 / N), method="rvc", seed=seed)
 
 
 def generate_mvn(panel: ReturnPanel, N: int, seed: int = 0) -> ScenarioSet:
@@ -173,9 +179,10 @@ def generate_mvn(panel: ReturnPanel, N: int, seed: int = 0) -> ScenarioSet:
 
 
 def generate(panel: ReturnPanel, N: int, method: str, seed: int = 0,
-             candidates=ALL_FAMILIES) -> ScenarioSet:
+             candidates=ALL_FAMILIES, fitted: FittedRVC | None = None) -> ScenarioSet:
+    """Scenarios of `method`; an rvc draw reuses `fitted` when given."""
     if method == "rvc":
-        return generate_rvc(panel, N, candidates, seed)
+        return generate_rvc(panel, N, candidates, seed, fitted)
     if method == "mvn":
         return generate_mvn(panel, N, seed)
     raise ValueError(f"unknown method {method!r}")
@@ -185,25 +192,27 @@ def stability_report(panel: ReturnPanel, sizes, method: str, instance,
                      ga_config, mu_targets, seeds=(0,)) -> list[dict]:
     """Optimal-CVaR statistics per scenario-set size.
 
-    For each size, scenario sets are generated for every seed, the model
-    is solved at every return target, and descriptive statistics of the
-    optimal CVaR are reported. Per-target failures are recorded, not
-    raised.
+    The rvc model is fitted to the panel once; for each size, a scenario
+    set is drawn for every seed, the model is solved at every return
+    target, and descriptive statistics of the optimal CVaR are reported.
+    A solve that raises a `VinefolioError` is recorded in `failures` as
+    (seed, mu, reason); any other exception propagates.
     """
     from . import ga as ga_mod  # local import to avoid a module cycle
     from .model import with_return_target
 
+    fitted = fit_rvc(panel) if method == "rvc" else None
     rows = []
     for size in sizes:
         cvars, failures = [], []
         for seed in seeds:
-            scen = generate(panel, size, method, seed=seed)
+            scen = generate(panel, size, method, seed=seed, fitted=fitted)
             for mu in mu_targets:
                 inst = with_return_target(instance, mu)
                 try:
                     sol = ga_mod.run(inst, scen, ga_config)
                     cvars.append(sol.cvar)
-                except Exception as exc:  # noqa: BLE001 - sweep must not abort
+                except VinefolioError as exc:
                     failures.append((seed, mu, repr(exc)))
         arr = np.asarray(cvars)
         rows.append({

@@ -4,7 +4,7 @@ import pytest
 from vinefolio import ga, model
 from vinefolio.errors import LengthMismatch
 from vinefolio.ga import (
-    GAConfig, build_layout, crossover_arithmetic, decode, encode,
+    GAConfig, build_layout, crossover_arithmetic, decode,
     mutate_adaptive_feasible, rank_scaled_values, select_stochastic_uniform,
     stage_length,
 )
@@ -144,13 +144,24 @@ def test_decode_full_mode_recourse_shapes():
     assert set(np.unique(sol.rx_asset)) <= {0.0, 1.0}
 
 
-def test_encode_decode_round_trip():
+def _genes_of(layout, sol):
+    """The gene vector in `layout` order that holds `sol`'s fields."""
+    genes = [getattr(sol, f) for f in model.STAGE_FIELDS]
+    if layout.recourse_mode == "full":
+        genes.append(np.concatenate([getattr(sol, "r" + f) for f in model.STAGE_FIELDS],
+                                    axis=-1).ravel())
+    return np.concatenate(genes)
+
+
+def test_decode_round_trip():
+    # Decoding is a projection: the fields of a decoded solution, laid
+    # out as genes, decode to the same solution.
     inst = _tiny_instance()
     for mode, N in (("no-recourse-trades", 1), ("full", 4)):
         layout = build_layout(inst, N, mode)
         rng = np.random.default_rng(5)
         sol = decode(layout, rng.random(layout.length) * layout.upper)
-        again = decode(layout, encode(layout, sol))
+        again = decode(layout, _genes_of(layout, sol))
         for name in ("b_asset", "s_asset", "x_asset", "y_asset", "z"):
             assert np.array_equal(getattr(again, name), getattr(sol, name)), name
         if mode == "full":
@@ -158,11 +169,16 @@ def test_encode_decode_round_trip():
                 assert np.array_equal(getattr(again, name), getattr(sol, name)), name
 
 
-def test_encode_zero_solution_is_zero_vector():
+def test_decode_zero_vector_is_zero_solution():
     inst = _tiny_instance()
     layout = build_layout(inst, 2, "full")
-    genes = encode(layout, zero_solution(inst))
-    assert np.array_equal(genes, np.zeros(layout.length))
+    sol = decode(layout, np.zeros(layout.length))
+    zero = zero_solution(inst)
+    for name in model.STAGE_FIELDS:
+        assert np.array_equal(getattr(sol, name), getattr(zero, name)), name
+        rec = getattr(sol, "r" + name)
+        assert rec.shape == (2,) + getattr(zero, name).shape and not rec.any(), name
+    assert np.array_equal(_genes_of(layout, sol), np.zeros(layout.length))
 
 
 # ---------------------------------------------------------------------------

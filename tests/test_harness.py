@@ -1,14 +1,17 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from vinefolio import cli, harness, model
-from vinefolio.errors import MissingColumn, NonNumericCell, ParseError
+from vinefolio import cli, ga, harness, model, rvine, scenarios
+from vinefolio.bicop import ALL_FAMILIES
+from vinefolio.errors import FitFailure, MissingColumn, NonNumericCell, ParseError
 from vinefolio.ga import GAConfig
+from vinefolio.marginals import effectively_constant, pit_transform
 from vinefolio.model import Instance, Solution, save_instance, zero_solution
-from vinefolio.scenarios import ReturnPanel, ScenarioSet
+from vinefolio.scenarios import ReturnPanel, ScenarioSet, adjust_returns
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +141,7 @@ def test_frontier_statuses():
     points = harness.frontier(inst, scen, [0.0], cfg)
     assert points[0].mu == 0.0
     assert points[0].status == "solved"
+    assert points[0].reason == ""
     assert points[0].achieved_return >= 0.0
 
 
@@ -155,6 +159,7 @@ def test_frontier_target_unreachable():
                    recourse_mode="no-recourse-trades")
     points = harness.frontier(inst, scen, [0.05], cfg)
     assert points[0].status == "target-unreachable"
+    assert points[0].reason.startswith("return_target=0.0")
 
 
 def test_frontier_order_independent():
@@ -167,6 +172,37 @@ def test_frontier_order_independent():
     rev = {p.mu: p for p in harness.frontier(inst, scen, grid[::-1], cfg)}
     for mu in grid:
         assert fwd[mu] == rev[mu]
+
+
+def _raising(exc):
+    def run(*args, **kwargs):
+        raise exc
+    return run
+
+
+@pytest.mark.parametrize("sweep", ["frontier", "stability"])
+def test_sweeps_record_package_errors_and_propagate_others(monkeypatch, sweep):
+    inst = _frontier_instance()
+    cfg = GAConfig(population=4, generations=1, seed=0,
+                   recourse_mode="no-recourse-trades")
+    panel = adjust_returns(_flat_rate_panel(np.random.default_rng(2).normal(0.0, 0.02, 30)))
+
+    def run_sweep():
+        if sweep == "frontier":
+            return harness.frontier(inst, _frontier_scenarios(), [0.0], cfg)
+        return scenarios.stability_report(panel, (10,), "rvc", inst, cfg, (0.0,))
+
+    monkeypatch.setattr(ga, "run", _raising(RuntimeError("a bug")))
+    with pytest.raises(RuntimeError, match="a bug"):
+        run_sweep()
+    monkeypatch.setattr(ga, "run", _raising(FitFailure("no fit")))
+    (out,) = run_sweep()
+    if sweep == "frontier":
+        assert out.status == "infeasible"
+        assert out.reason == "FitFailure('no fit')"
+    else:
+        assert out["n_failed"] == 1 and out["n_solved"] == 0
+        assert out["failures"] == [(0, 0.0, "FitFailure('no fit')")]
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +449,29 @@ def test_cli_frontier_smoke(tmp_path):
     lines = (ws / "front" / "frontier.csv").read_text().strip().splitlines()
     assert len(lines) == 3   # header + two targets
     assert lines[0].startswith("mu,achieved_return,cvar")
+    assert lines[0].endswith(",status,reason")
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_cli_sweeps_write_failure_reasons(tmp_path, monkeypatch):
+    ws = _cli_workspace(tmp_path)
+    monkeypatch.setattr(ga, "run", _raising(FitFailure("no fit")))
+    runner = CliRunner()
+    common = ["--config", str(ws / "config.json"), "--method", "mvn", "--seed", "1"]
+    r = runner.invoke(cli.main, ["frontier", *common, "--n", "25", "--out", str(ws / "front")])
+    assert r.exit_code == 0, r.output
+    rows = _csv_rows(ws / "front" / "frontier.csv")
+    assert [(row["status"], row["reason"]) for row in rows] == \
+        [("infeasible", "FitFailure('no fit')")] * 2
+    r = runner.invoke(cli.main, ["stability", *common, "--out", str(ws / "stab")])
+    assert r.exit_code == 0, r.output
+    rows = _csv_rows(ws / "stab" / "stability.csv")
+    assert [row["failures"] for row in rows] == [
+        "seed=1 mu=0.0: FitFailure('no fit'); seed=1 mu=0.002: FitFailure('no fit')"] * 2
 
 
 def test_cli_fit_vine_smoke(tmp_path):
@@ -426,3 +485,46 @@ def test_cli_fit_vine_smoke(tmp_path):
     from vinefolio import rvine
     spec = rvine.from_json((ws / "vine" / "vine.json").read_text())
     assert spec.dimension == 3
+    # The reference fit of this panel: three independent pairs.
+    assert spec.structure.ravel().tolist() == [3, 0, 0, 1, 2, 0, 2, 1, 1]
+    for cop in spec.copulas.values():
+        assert cop.family.value == "independence"
+        assert (cop.theta, cop.theta2, cop.loglik, cop.n_obs) == (0.0, None, 0.0, 60)
+
+
+def test_cli_fit_vine_matches_direct_vine_fit(tmp_path):
+    # A dependent panel, fitted as PIT of the live columns followed by
+    # `rvine.select_and_fit`: the command writes exactly that vine.
+    ws = _cli_workspace(tmp_path)
+    rng = np.random.default_rng(4)
+    common = rng.normal(0.0, 0.03, 60)
+    rows = ["period,EQ_US,EQ_UK,GBP,rate.USD,rate.GBP"]
+    for t in range(60):
+        cells = (common[t] + rng.normal(0.0, 0.01), 0.8 * common[t] + rng.normal(0.0, 0.02),
+                 0.5 * common[t] + rng.standard_t(4) * 0.02)
+        rows.append(f"p{t}," + ",".join(repr(float(c)) for c in cells) + ",0.001,0.002")
+    _write_panel(ws / "panel.csv", rows)
+    r = CliRunner().invoke(cli.main, ["fit-vine", "--config", str(ws / "config.json"),
+                                      "--out", str(ws / "vine")])
+    assert r.exit_code == 0, r.output
+
+    panel = adjust_returns(harness.load_panel(
+        str(ws / "panel.csv"), {"EQ_US": "USD", "EQ_UK": "GBP"}, "USD"))
+    columns = dict(zip(panel.column_names(), panel.column_matrix().T))
+    live = {name: col for name, col in columns.items() if not effectively_constant(col)}
+    uniforms, _ = pit_transform(live)
+    spec = rvine.select_and_fit(uniforms, ALL_FAMILIES, column_order=list(live))
+    assert {cop.family.value for cop in spec.copulas.values()} != {"independence"}
+    assert (ws / "vine" / "vine.json").read_text() == rvine.to_json(spec) + "\n"
+    assert json.loads((ws / "vine" / "vine_columns.json").read_text()) == list(live)
+
+
+def test_cli_fit_vine_one_live_column_exits_1(tmp_path):
+    ws = _cli_workspace(tmp_path)
+    rng = np.random.default_rng(5)
+    _write_panel(ws / "panel.csv", ["period,EQ_US,rate.USD"] + [
+        f"p{t},{float(rng.normal(0.006, 0.04))!r},0.001" for t in range(30)])
+    r = CliRunner().invoke(cli.main, ["fit-vine", "--config", str(ws / "config.json"),
+                                      "--out", str(ws / "vine")])
+    assert r.exit_code == 1, r.output
+    assert "need >= 2 live columns" in r.output

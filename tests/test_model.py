@@ -6,7 +6,7 @@ from vinefolio.errors import EmptyScenarios, InvalidParameter, MissingColumn
 from vinefolio.model import (
     Instance, Solution, cvar_objective, evaluate, evaluate_first_stage,
     evaluate_recourse, expected_return, instance_from_dict, instance_to_dict,
-    load_instance, save_instance, scenario_prices, target_residual,
+    load_instance, save_instance, scenario_prices,
     with_return_target, zero_solution,
 )
 from vinefolio.scenarios import ScenarioSet
@@ -441,8 +441,20 @@ def test_expected_return_and_target_residual():
     w = np.array([110.0, 90.0])
     p = np.array([0.5, 0.5])
     assert expected_return(w, p, 100.0) == pytest.approx(0.0, abs=1e-15)
-    assert target_residual(w, p, 100.0, 0.05) == pytest.approx(0.05, abs=1e-15)
-    assert target_residual(w, p, 100.0, -0.01) == 0.0
+    # All of w0 = 100 in ten units of EQ, which gains or loses 10%: the
+    # evaluation's terminal wealth is the w above.
+    sol = Solution(
+        b_asset=np.array([10.0, 0.0]), s_asset=np.zeros(2),
+        x_asset=np.array([1.0, 0.0]), y_asset=np.zeros(2),
+        b_fwd=np.zeros(1), s_fwd=np.zeros(1), x_fwd=np.zeros(1), y_fwd=np.zeros(1),
+        z=np.array([1.0, 0.0]),
+    )
+    scen = _scenario_set([[0.1, 0.0, 0.0, 0.0], [-0.1, 0.0, 0.0, 0.0]])
+    reached = evaluate(_costless(mu=0.05), sol, scen)
+    assert np.array_equal(reached.recourse.wealth, w)
+    assert reached.expected_return == pytest.approx(0.0, abs=1e-15)
+    assert reached.residuals["return_target"] == pytest.approx(0.05, abs=1e-15)
+    assert evaluate(_costless(mu=-0.01), sol, scen).residuals["return_target"] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -247,4 +249,15 @@ def test_json_round_trip(fitted_3d):
         assert back.copulas[key].family == cop.family
         assert back.copulas[key].theta == cop.theta
         assert back.copulas[key].theta2 == cop.theta2
+        assert back.copulas[key].loglik == cop.loglik
+        assert back.copulas[key].n_obs == cop.n_obs
     assert rvine.to_json(back) == doc
+
+
+def test_json_keeps_edge_diagnostics(fitted_3d):
+    doc = json.loads(rvine.to_json(fitted_3d))
+    for (i, j), cop in fitted_3d.copulas.items():
+        assert doc["loglik"][i][j] == cop.loglik and doc["n_obs"][i][j] == 5000
+        assert doc["aic"][i][j] == 2.0 * cop.n_params - 2.0 * cop.loglik
+        assert doc["tau"][i][j] == bicop.model_tau(cop)
+    assert doc["loglik"][0][0] is None and doc["aic"][0][0] is None

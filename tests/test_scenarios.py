@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from vinefolio import scenarios
+from vinefolio import rvine, scenarios
 from vinefolio.errors import EmptyPanel, MissingRateSeries, VinefolioError
+from vinefolio.ga import GAConfig
 from vinefolio.scenarios import ReturnPanel, ScenarioSet, adjust_returns
+
+from test_acceptance import _market_instance, _market_panel
 
 
 def _make_panel(m=120, seed=11, gbp_rate=0.003, usd_rate=0.002):
@@ -181,6 +184,64 @@ def test_empty_panel_rejected():
                         currencies={}, rates={}, base="USD")
     with pytest.raises(EmptyPanel):
         scenarios.generate_rvc(empty, 10)
+
+
+def _one_live_panel(m=60):
+    rng = np.random.default_rng(3)
+    return adjust_returns(ReturnPanel(
+        periods=tuple(f"p{t}" for t in range(m)),
+        assets={"A": rng.normal(0.0, 0.02, m)}, asset_currency={"A": "USD"},
+        currencies={"USD": np.zeros(m)}, rates={"USD": np.full(m, 0.001)},
+        base="USD",
+    ))
+
+
+@pytest.mark.parametrize("N", [1, 500])
+@pytest.mark.parametrize("which", ["constant-column", "one-live-column"])
+def test_generate_with_fitted_model_is_bit_identical(adjusted_panel, which, N):
+    panel = adjusted_panel if which == "constant-column" else _one_live_panel()
+    fitted = scenarios.fit_rvc(panel)
+    assert len(fitted.live) == (4 if which == "constant-column" else 1)
+    fresh = scenarios.generate(panel, N, "rvc", seed=6)
+    reused = scenarios.generate(panel, N, "rvc", seed=6, fitted=fitted)
+    assert reused.columns == fresh.columns
+    assert reused.values.tobytes() == fresh.values.tobytes()
+    assert reused.probabilities.tobytes() == fresh.probabilities.tobytes()
+
+
+def _counting_select_and_fit(monkeypatch):
+    calls = []
+    real = rvine.select_and_fit
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(rvine, "select_and_fit", counted)
+    return calls
+
+
+def test_stability_report_fits_the_vine_once(monkeypatch):
+    panel = adjust_returns(_market_panel())
+    inst = _market_instance()
+    cfg = GAConfig(population=8, generations=2, seed=0, elite_count=1,
+                   recourse_mode="no-recourse-trades")
+    args = (panel, (30, 60), "rvc", inst, cfg, (0.0, 0.004), (0, 1))
+    calls = _counting_select_and_fit(monkeypatch)
+    rows = scenarios.stability_report(*args)
+    assert len(calls) == 1
+
+    # Reference: every set drawn by its own generate call, which refits.
+    real_generate = scenarios.generate
+    monkeypatch.setattr(scenarios, "generate",
+                        lambda panel, N, method, seed=0, fitted=None:
+                        real_generate(panel, N, method, seed=seed))
+    refit = scenarios.stability_report(*args)
+    assert len(calls) == 1 + 1 + 4   # its own unused fit, then one per set
+    assert [r["size"] for r in rows] == [30, 60]
+    for row, ref in zip(rows, refit):
+        assert row.keys() == ref.keys()
+        for key in row:
+            assert repr(row[key]) == repr(ref[key]), key
 
 
 # ---------------------------------------------------------------------------
