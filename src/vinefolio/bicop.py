@@ -129,21 +129,21 @@ def _clip(u):
 
 
 def _gauss_pdf(u, v, rho):
-    x, y = stats.norm.ppf(u), stats.norm.ppf(v)
+    x, y = special.ndtri(u), special.ndtri(v)
     r2 = 1.0 - rho * rho
     expo = -(rho * rho * (x * x + y * y) - 2.0 * rho * x * y) / (2.0 * r2)
     return np.exp(expo) / math.sqrt(r2)
 
 
 def _gauss_h(u, v, rho):
-    x, y = stats.norm.ppf(u), stats.norm.ppf(v)
-    return stats.norm.cdf((x - rho * y) / math.sqrt(1.0 - rho * rho))
+    x, y = special.ndtri(u), special.ndtri(v)
+    return special.ndtr((x - rho * y) / math.sqrt(1.0 - rho * rho))
 
 
 def _gauss_hinv(w, v, rho):
-    y = stats.norm.ppf(v)
-    x = stats.norm.ppf(w) * math.sqrt(1.0 - rho * rho) + rho * y
-    return stats.norm.cdf(x)
+    y = special.ndtri(v)
+    x = special.ndtri(w) * math.sqrt(1.0 - rho * rho) + rho * y
+    return special.ndtr(x)
 
 
 def _t_ppf(p, df):
@@ -156,8 +156,9 @@ def _t_ppf(p, df):
     return x - (special.stdtr(df, x) - p) / np.exp(log_pdf)
 
 
-def _t_pdf(u, v, rho, df):
-    x, y = _t_ppf(u, df), _t_ppf(v, df)
+def _t_pdf(u, v, rho, df, xy=None):
+    """`xy`, if given, holds the quantiles `_t_ppf(u, df), _t_ppf(v, df)`."""
+    x, y = xy if xy is not None else (_t_ppf(u, df), _t_ppf(v, df))
     r2 = 1.0 - rho * rho
     log_num = (
         math.lgamma((df + 2.0) / 2.0)
@@ -177,14 +178,14 @@ def _t_pdf(u, v, rho, df):
 def _t_h(u, v, rho, df):
     x, y = _t_ppf(u, df), _t_ppf(v, df)
     scale = np.sqrt((df + y * y) * (1.0 - rho * rho) / (df + 1.0))
-    return stats.t.cdf((x - rho * y) / scale, df + 1.0)
+    return special.stdtr(df + 1.0, (x - rho * y) / scale)
 
 
 def _t_hinv(w, v, rho, df):
     y = _t_ppf(v, df)
     scale = np.sqrt((df + y * y) * (1.0 - rho * rho) / (df + 1.0))
     x = _t_ppf(w, df + 1.0) * scale + rho * y
-    return stats.t.cdf(x, df)
+    return special.stdtr(df, x)
 
 
 def _clayton_pdf(u, v, th):
@@ -240,8 +241,10 @@ def _gumbel_hinv(w, v, th):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         too_low = _gumbel_h(mid, v, th) < w
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
+        new_lo, new_hi = np.where(too_low, mid, lo), np.where(too_low, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break  # a fixed point: no later step would move either end
+        lo, hi = new_lo, new_hi
         if np.max(hi - lo) < 1e-16:
             break
     return 0.5 * (lo + hi)
@@ -455,19 +458,20 @@ def _tau_inversion_start(family: CopulaFamily, tau: float) -> float:
     return float(np.clip(th, lo, hi))
 
 
-def _loglik(family: CopulaFamily, theta: float, theta2, u, v) -> float:
+def _loglik(family: CopulaFamily, theta: float, theta2, u, v, xy=None) -> float:
     try:
         c = FittedBicop(family, theta, theta2)
     except InvalidParameter:
         return -np.inf
-    dens = density(c, u, v)
+    dens = density(c, u, v) if xy is None else _t_pdf(u, v, theta, theta2, xy)
     with np.errstate(divide="ignore"):
         ll = np.log(np.maximum(dens, 1e-300)).sum()
     return float(ll) if np.isfinite(ll) else -np.inf
 
 
-def fit(family: CopulaFamily, u_series, v_series) -> FittedBicop:
-    """Fit one family by tau-inversion start plus bounded MLE refinement."""
+def fit(family: CopulaFamily, u_series, v_series, tau: float | None = None) -> FittedBicop:
+    """Fit one family by tau-inversion start plus bounded MLE refinement;
+    a given `tau` of the series is reused if clipping leaves them unchanged."""
     u = _clip(u_series)
     v = _clip(v_series)
     if u.size != v.size:
@@ -479,22 +483,30 @@ def fit(family: CopulaFamily, u_series, v_series) -> FittedBicop:
     if family is CopulaFamily.INDEPENDENCE:
         return FittedBicop(CopulaFamily.INDEPENDENCE, loglik=0.0, n_obs=m)
 
-    tau = empirical_tau(u, v)
+    if tau is None or not (np.array_equal(u, u_series) and np.array_equal(v, v_series)):
+        tau = empirical_tau(u, v)
     theta0 = _tau_inversion_start(family, tau)
     lo, hi = _THETA_BOUNDS[family]
 
     if family is CopulaFamily.STUDENT_T:
+        quantiles = {}  # df -> t quantiles of (u, v), for this fit only
+
+        def loglik(th, df):
+            if df not in quantiles:
+                quantiles[df] = (_t_ppf(u, df), _t_ppf(v, df))
+            return _loglik(family, th, df, u, v, quantiles[df])
+
         # Log-spaced df grid, then Nelder-Mead on (theta, log df).
-        best = (theta0, 5.0, _loglik(family, theta0, 5.0, u, v))
+        best = (theta0, 5.0, loglik(theta0, 5.0))
         for df in np.geomspace(DF_MIN + 0.1, DF_MAX, 8):
-            ll = _loglik(family, theta0, df, u, v)
+            ll = loglik(theta0, df)
             if ll > best[2]:
                 best = (theta0, float(df), ll)
 
         def neg(p):
             th = float(np.clip(p[0], lo, hi))
             df = float(np.clip(math.exp(p[1]), DF_MIN, DF_MAX))
-            return -_loglik(family, th, df, u, v)
+            return -loglik(th, df)
 
         res = optimize.minimize(
             neg, [best[0], math.log(best[1])], method="Nelder-Mead",
@@ -502,7 +514,7 @@ def fit(family: CopulaFamily, u_series, v_series) -> FittedBicop:
         )
         th = float(np.clip(res.x[0], lo, hi))
         df = float(np.clip(math.exp(res.x[1]), DF_MIN, DF_MAX))
-        ll = _loglik(family, th, df, u, v)
+        ll = loglik(th, df)
         if ll < best[2]:
             th, df, ll = best
         if not np.isfinite(ll):
@@ -523,8 +535,8 @@ def fit(family: CopulaFamily, u_series, v_series) -> FittedBicop:
     return FittedBicop(family, theta, loglik=ll, n_obs=m)
 
 
-def select_family(u_series, v_series, candidates=ALL_FAMILIES) -> FittedBicop:
-    """Fit every candidate and keep the one with minimal AIC."""
+def select_family(u_series, v_series, candidates=ALL_FAMILIES, tau=None) -> FittedBicop:
+    """Fit every candidate and keep the one with minimal AIC; `tau` as in `fit`."""
     candidates = list(candidates)
     if not candidates:
         raise FitFailure("empty candidate set")
@@ -533,7 +545,7 @@ def select_family(u_series, v_series, candidates=ALL_FAMILIES) -> FittedBicop:
     last_error: Exception | None = None
     for fam in sorted(candidates, key=lambda f: f.value):
         try:
-            fitted = fit(fam, u_series, v_series)
+            fitted = fit(fam, u_series, v_series, tau)
         except (FitFailure, InvalidParameter) as exc:
             last_error = exc
             continue

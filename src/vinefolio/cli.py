@@ -2,8 +2,9 @@
 
 Every command reads a JSON config file, writes its outputs under
 `--out`, and drops a `manifest.json` capturing the seed and parameters
-so a run can be reproduced byte-for-byte. Exit codes: 0 success,
-1 input/validation failure, 2 unexpected runtime failure.
+so a run can be reproduced byte-for-byte; `optimize` prints where its
+time went to standard error. Exit codes: 0 success, 1 input/validation
+failure, 2 unexpected runtime failure.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+import time
 from pathlib import Path
 
 import click
@@ -73,7 +75,7 @@ def _ga_config(cfg: dict, seed: int) -> ga.GAConfig:
     )
 
 
-def _write_manifest(out_dir: Path, command: str, seed: int | None, params: dict) -> None:
+def _write_manifest(out_dir: Path, command: str, seed: int | None, params: dict, **run) -> None:
     doc = {
         "command": command,
         "seed": seed,
@@ -83,6 +85,7 @@ def _write_manifest(out_dir: Path, command: str, seed: int | None, params: dict)
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
+        **run,
     }
     (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -129,11 +132,22 @@ def _run(func):
         sys.exit(2)
 
 
-def _scenarios_for(cfg: dict, cfg_dir: Path, method: str, n: int, seed: int) -> ScenarioSet:
+def _timed(seconds: dict, stage: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), adding its wall seconds to `seconds[stage]`."""
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    seconds[stage] = seconds.get(stage, 0.0) + time.perf_counter() - start
+    return result
+
+
+def _scenarios_for(cfg: dict, cfg_dir: Path, method: str, n: int, seed: int,
+                   seconds: dict) -> ScenarioSet:
+    """The scenario file, or a draw from the panel; adds stage times to `seconds`."""
     if "scenarios" in cfg:
-        return _read_scenario_csv(cfg_dir / cfg["scenarios"])
-    panel = _load_adjusted_panel(cfg, cfg_dir)
-    return scenarios.generate(panel, n, method, seed=seed)
+        return _timed(seconds, "load", _read_scenario_csv, cfg_dir / cfg["scenarios"])
+    panel = _timed(seconds, "load", _load_adjusted_panel, cfg, cfg_dir)
+    fitted = _timed(seconds, "fit", scenarios.fit_rvc, panel) if method == "rvc" else None
+    return _timed(seconds, "sample", scenarios.generate, panel, n, method, seed, fitted=fitted)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +224,8 @@ def optimize_cmd(config_path, mu, method, n_scenarios, seed, kc, kg, out_dir) ->
         cfg_dir = Path(config_path).resolve().parent
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        inst = _load_instance(cfg, cfg_dir)
+        seconds: dict[str, float] = {}
+        inst = _timed(seconds, "load", _load_instance, cfg, cfg_dir)
         if mu is not None:
             inst2 = model.with_return_target(inst, mu)
         else:
@@ -220,8 +235,9 @@ def optimize_cmd(config_path, mu, method, n_scenarios, seed, kc, kg, out_dir) ->
             inst2 = replace(inst2, k_c=kc)
         if kg is not None:
             inst2 = replace(inst2, k_g=kg)
-        scen = _scenarios_for(cfg, cfg_dir, method, n_scenarios, seed)
-        result = ga.run(inst2, scen, _ga_config(cfg, seed))
+        scen = _scenarios_for(cfg, cfg_dir, method, n_scenarios, seed, seconds)
+        result = _timed(seconds, "ga", ga.run, inst2, scen, _ga_config(cfg, seed))
+        evals = result.config.population * (result.config.generations + 1)
         ev = result.evaluation
         (out / "solution.json").write_text(json.dumps({
             "fitness": result.fitness,
@@ -240,9 +256,11 @@ def optimize_cmd(config_path, mu, method, n_scenarios, seed, kc, kg, out_dir) ->
         _write_manifest(out, "optimize", seed, {
             "config": cfg, "mu": mu, "method": method, "n": n_scenarios,
             "kc": kc, "kg": kg,
-        })
+        }, ga_evaluations=evals)
         click.echo(f"cvar={ev.cvar:.6f} violation={ev.violation:.3g} "
                    f"-> {out / 'solution.json'}")
+        # Wall times differ between reruns, so no file under --out holds them.
+        click.echo(json.dumps({"seconds": seconds, "ga_evals_per_s": evals / seconds["ga"]}), err=True)
     _run(body)
 
 
@@ -272,7 +290,7 @@ def frontier_cmd(config_path, method, n_scenarios, seed, kc, kg, out_dir) -> Non
         mu_grid = [float(m) for m in _require(cfg, "mu_grid")]
         if not mu_grid:
             raise ConfigError("config key 'mu_grid' must be a non-empty list")
-        scen = _scenarios_for(cfg, cfg_dir, method, n_scenarios, seed)
+        scen = _scenarios_for(cfg, cfg_dir, method, n_scenarios, seed, {})
         points = harness.frontier(inst_local, scen, mu_grid, _ga_config(cfg, seed))
         with open(out / "frontier.csv", "w", newline="") as fh:
             writer = csv.writer(fh)

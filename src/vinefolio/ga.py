@@ -64,10 +64,6 @@ class ChromosomeLayout:
     def length(self) -> int:
         return self.lower.size
 
-    @property
-    def gene_range(self) -> np.ndarray:
-        return self.upper - self.lower
-
 
 def _stage_bounds(inst: Instance):
     """Per-gene (lower, upper, binary flag) for one stage block."""

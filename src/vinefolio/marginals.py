@@ -53,10 +53,6 @@ class MarginalModel:
     density: np.ndarray
     cdf_values: np.ndarray = field(repr=False)
 
-    @property
-    def grid_step(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
 
 def fit_kde(samples) -> MarginalModel:
     """Fit an Epanechnikov KDE to a return series.

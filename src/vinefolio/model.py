@@ -372,10 +372,6 @@ class FirstStageReport:
     free_cash: float
     residuals: dict[str, float] = field(repr=False)
 
-    @property
-    def total_violation(self) -> float:
-        return float(sum(self.residuals.values()))
-
 
 @dataclass(frozen=True)
 class RecourseReport:

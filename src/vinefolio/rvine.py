@@ -123,21 +123,21 @@ def check_proximity(spec: RVineSpec) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _mst_max(num_nodes: int, weights: dict[tuple[int, int], float]) -> list[tuple[int, int]]:
-    """Maximum spanning tree by Prim's algorithm.
+def _mst_max(num_nodes: int, taus: dict[tuple[int, int], float]) -> list[tuple[int, int]]:
+    """Maximum spanning tree by Prim's algorithm, weighted by |tau|.
 
-    Nodes are 0..num_nodes-1; `weights` is keyed by sorted index pairs.
+    Nodes are 0..num_nodes-1; `taus` is keyed by sorted index pairs.
     Ties break on lexicographic edge index for determinism.
     """
     in_tree = {0}
     chosen: list[tuple[int, int]] = []
     while len(in_tree) < num_nodes:
         best: tuple[float, int, int] | None = None
-        for (a, b), w in sorted(weights.items()):
+        for (a, b), tau in sorted(taus.items()):
             if (a in in_tree) == (b in in_tree):
                 continue
-            if best is None or w > best[0]:
-                best = (w, a, b)
+            if best is None or abs(tau) > best[0]:
+                best = (abs(tau), a, b)
         if best is None:
             raise FitFailure("graph disconnected during MST")
         _, a, b = best
@@ -147,14 +147,13 @@ def _mst_max(num_nodes: int, weights: dict[tuple[int, int], float]) -> list[tupl
     return chosen
 
 
-def _fit_edge(u_a, u_b, candidates, m: int) -> FittedBicop:
-    tau = bicop.empirical_tau(u_a, u_b)
+def _fit_edge(u_a, u_b, tau: float, candidates, m: int) -> FittedBicop:
     if abs(tau) < bicop.tau_independence_threshold(m):
         return FittedBicop(CopulaFamily.INDEPENDENCE, loglik=0.0, n_obs=m)
     cands = set(candidates) - {CopulaFamily.INDEPENDENCE}
     if not cands:
         cands = {CopulaFamily.INDEPENDENCE}
-    return bicop.select_family(u_a, u_b, cands)
+    return bicop.select_family(u_a, u_b, cands, tau)
 
 
 def select_and_fit(u_panel: dict[str, np.ndarray] | np.ndarray,
@@ -174,12 +173,12 @@ def select_and_fit(u_panel: dict[str, np.ndarray] | np.ndarray,
     if n < 2 or m < 8:
         raise FitFailure(f"need n >= 2 and m >= 8, got n={n} m={m}")
 
-    # Tree 1 over variables 1..n.
-    weights = {}
+    # Tree 1 over variables 1..n. A pair's one tau is its MST weight and fit start.
+    taus = {}
     for a in range(n):
         for b in range(a + 1, n):
-            weights[(a, b)] = abs(bicop.empirical_tau(data[:, a], data[:, b]))
-    mst = _mst_max(n, weights)
+            taus[(a, b)] = bicop.empirical_tau(data[:, a], data[:, b])
+    mst = _mst_max(n, taus)
 
     all_edges: list[_Edge] = []
     # Per tree node: (node id -> (variable set, {conditioned var: pseudo-obs}))
@@ -198,7 +197,7 @@ def select_and_fit(u_panel: dict[str, np.ndarray] | np.ndarray,
             (var_b,) = set_b - cond
             u_a, u_b = obs_a[var_a], obs_b[var_b]
             try:
-                fitted = _fit_edge(u_a, u_b, candidates, m)
+                fitted = _fit_edge(u_a, u_b, taus[(a_idx, b_idx)], candidates, m)
             except FitFailure as exc:
                 raise FitFailure(
                     f"edge ({var_a},{var_b}|{sorted(cond)}): {exc}"
@@ -216,7 +215,7 @@ def select_and_fit(u_panel: dict[str, np.ndarray] | np.ndarray,
         if tree == n - 1:
             break
         # MST over proximity-allowed pairs of the new nodes.
-        weights = {}
+        taus = {}
         for a_idx in range(len(new_nodes)):
             for b_idx in range(a_idx + 1, len(new_nodes)):
                 set_a, obs_a = new_nodes[a_idx]
@@ -226,10 +225,8 @@ def select_and_fit(u_panel: dict[str, np.ndarray] | np.ndarray,
                 cond = set_a & set_b
                 (var_a,) = set_a - cond
                 (var_b,) = set_b - cond
-                weights[(a_idx, b_idx)] = abs(
-                    bicop.empirical_tau(obs_a[var_a], obs_b[var_b])
-                )
-        prev_edges = _mst_max(len(new_nodes), weights)
+                taus[(a_idx, b_idx)] = bicop.empirical_tau(obs_a[var_a], obs_b[var_b])
+        prev_edges = _mst_max(len(new_nodes), taus)
         prev_nodes = new_nodes
 
     return _edges_to_spec(n, all_edges)

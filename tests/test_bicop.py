@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from vinefolio import bicop
 from vinefolio.bicop import ALL_FAMILIES, CopulaFamily as F, FittedBicop
@@ -292,3 +295,128 @@ def test_select_family_single_candidate():
     rng = np.random.default_rng(13)
     sel = bicop.select_family(rng.random(300), rng.random(300), {F.FRANK})
     assert sel.family is F.FRANK
+
+
+def test_fit_reuses_given_tau_only_on_unclipped_series(monkeypatch):
+    s = bicop.sample(_cop(F.GUMBEL, 2.0, None), 300, np.random.default_rng(14))
+    u, v = s[:, 0], s[:, 1]
+    tau = bicop.empirical_tau(u, v)
+    plain = bicop.fit(F.GUMBEL, u, v)
+    calls = []
+    empirical_tau = bicop.empirical_tau
+    monkeypatch.setattr(bicop, "empirical_tau",
+                        lambda a, b: calls.append(1) or empirical_tau(a, b))
+    assert bicop.fit(F.GUMBEL, u, v, tau) == plain
+    assert calls == []
+    # Clipping changes a series: the given tau is not the clipped series' tau.
+    u_edge = np.concatenate([[0.0, 1e-12], u[2:]])
+    expected = bicop.fit(F.GUMBEL, u_edge, v)
+    calls.clear()
+    assert bicop.fit(F.GUMBEL, u_edge, v, 0.5) == expected
+    assert len(calls) == 1
+
+
+def test_t_fit_computes_quantiles_once_per_df(monkeypatch):
+    s = bicop.sample(_cop(F.STUDENT_T, 0.5, 5.0), 300, np.random.default_rng(15))
+    dfs = []
+    t_ppf = bicop._t_ppf
+
+    def counting_ppf(p, df):
+        dfs.append(float(df))
+        return t_ppf(p, df)
+
+    monkeypatch.setattr(bicop, "_t_ppf", counting_ppf)
+    fitted = bicop.fit(F.STUDENT_T, s[:, 0], s[:, 1])
+    assert fitted.family is F.STUDENT_T
+    # One quantile of each series per distinct df.
+    assert len(set(dfs)) > 9
+    assert all(dfs.count(df) == 2 for df in set(dfs))
+
+
+def _reference_gumbel_hinv(w, v, th):
+    """Bisection of up to 200 steps that stops once hi - lo < 1e-16."""
+    lo = np.full(np.broadcast(w, v).shape, bicop.EPS)
+    hi = np.full_like(lo, 1.0 - bicop.EPS)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        too_low = bicop._gumbel_h(mid, v, th) < w
+        lo = np.where(too_low, mid, lo)
+        hi = np.where(too_low, hi, mid)
+        if np.max(hi - lo) < 1e-16:
+            break
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("th", [1.0, 1.3, 2.5, 6.0, 17.0])
+@pytest.mark.parametrize("where", ["everywhere", "small roots"])
+def test_gumbel_hinv_stops_at_its_fixed_point(th, where, monkeypatch):
+    rng = np.random.default_rng(16)
+    ends = [bicop.EPS, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - bicop.EPS]
+    w = np.concatenate([ends, rng.random(400)])
+    v = np.concatenate([ends[::-1], rng.random(400)])
+    if where == "small roots":
+        w = w * 1e-3
+    expected = _reference_gumbel_hinv(w, v, th)
+    steps = []
+    gumbel_h = bicop._gumbel_h
+    monkeypatch.setattr(bicop, "_gumbel_h",
+                        lambda u, vv, t: steps.append(1) or gumbel_h(u, vv, t))
+    assert np.array_equal(bicop._gumbel_hinv(w, v, th), expected)
+    assert len(steps) < 100
+
+
+def _reference_kernels(fam, rho, df):
+    """The Gaussian and t kernels written with scipy.stats distributions."""
+    if fam is F.GAUSSIAN:
+        ppf, ppf1 = stats.norm.ppf, stats.norm.ppf
+        cdf, cdf1 = stats.norm.cdf, stats.norm.cdf
+        h_scale = lambda y: math.sqrt(1.0 - rho * rho)
+    else:
+        ppf, ppf1 = (lambda p: bicop._t_ppf(p, df)), (lambda p: bicop._t_ppf(p, df + 1.0))
+        cdf, cdf1 = (lambda x: stats.t.cdf(x, df)), (lambda x: stats.t.cdf(x, df + 1.0))
+        h_scale = lambda y: np.sqrt((df + y * y) * (1.0 - rho * rho) / (df + 1.0))
+
+    def pdf(u, v):
+        x, y = ppf(u), ppf(v)
+        r2 = 1.0 - rho * rho
+        if fam is F.GAUSSIAN:
+            expo = -(rho * rho * (x * x + y * y) - 2.0 * rho * x * y) / (2.0 * r2)
+            return np.exp(expo) / math.sqrt(r2)
+        log_num = (math.lgamma((df + 2.0) / 2.0) + math.lgamma(df / 2.0)
+                   - 2.0 * math.lgamma((df + 1.0) / 2.0) - 0.5 * math.log(r2))
+        core = 1.0 + (x * x + y * y - 2.0 * rho * x * y) / (df * r2)
+        marg = (1.0 + x * x / df) * (1.0 + y * y / df)
+        return np.exp(log_num - (df + 2.0) / 2.0 * np.log(core)
+                      + (df + 1.0) / 2.0 * np.log(marg))
+
+    def h(u, v):
+        x, y = ppf(u), ppf(v)
+        return cdf1((x - rho * y) / h_scale(y))
+
+    def hinv(w, v):
+        y = ppf(v)
+        return cdf(ppf1(w) * h_scale(y) + rho * y)
+
+    return pdf, h, hinv
+
+
+@pytest.mark.parametrize("fam,rho,df", [
+    (F.GAUSSIAN, -0.9, None), (F.GAUSSIAN, 0.0, None), (F.GAUSSIAN, 0.3, None),
+    (F.GAUSSIAN, 0.9999, None), (F.STUDENT_T, -0.7, bicop.DF_MIN),
+    (F.STUDENT_T, 0.0, 4.0), (F.STUDENT_T, 0.5, 11.3), (F.STUDENT_T, 0.95, bicop.DF_MAX),
+    (F.STUDENT_T, 0.2, 31.0),
+])
+def test_elliptical_kernels_equal_scipy_stats(fam, rho, df):
+    rng = np.random.default_rng(17)
+    ends = [0.0, bicop.EPS, 1e-7, 0.5, 1.0 - 1e-7, 1.0 - bicop.EPS, 1.0]
+    grid = np.concatenate([ends, rng.random(60)])
+    u, v = (a.ravel() for a in np.meshgrid(grid, grid))
+    c = _cop(fam, rho, df)
+    pdf, h, hinv = _reference_kernels(fam, rho, df)
+    cu, cv = bicop._clip(u), bicop._clip(v)
+    assert np.array_equal(bicop.density(c, u, v), pdf(cu, cv))
+    assert np.array_equal(bicop.h_func(c, u, v), h(cu, cv))
+    # Near the ends h is too flat to invert, and inv_h rejects its own result.
+    inner = (cv > 1e-6) & (cv < 1.0 - 1e-6) & (cu > 1e-6) & (cu < 1.0 - 1e-6)
+    assert np.array_equal(bicop.inv_h(c, u[inner], v[inner]),
+                          np.clip(hinv(cu[inner], cv[inner]), bicop.EPS, 1.0 - bicop.EPS))

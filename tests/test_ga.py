@@ -330,7 +330,7 @@ def test_run_full_mode_smoke():
 def _random_population(layout, P, rng):
     """Trades up to a fifth of their cap, every flag a fair coin, so that
     recourse trades are switched on in full mode."""
-    genes = layout.lower + 0.2 * rng.random((P, layout.length)) * layout.gene_range
+    genes = layout.lower + 0.2 * rng.random((P, layout.length)) * (layout.upper - layout.lower)
     genes[:, layout.is_binary] = rng.random((P, int(layout.is_binary.sum())))
     return genes
 

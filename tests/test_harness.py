@@ -439,6 +439,34 @@ def test_cli_optimize_and_backtest_chain(tmp_path):
     assert len(lines) == 61   # header + one row per panel period
 
 
+@pytest.mark.parametrize("source,stages", [
+    ("rvc", {"load", "fit", "sample", "ga"}),
+    ("mvn", {"load", "sample", "ga"}),
+    ("file", {"load", "ga"}),
+])
+def test_cli_optimize_says_where_time_went(tmp_path, source, stages):
+    ws = _cli_workspace(tmp_path)
+    method = "mvn" if source == "file" else source
+    if source == "file":
+        r = CliRunner().invoke(cli.main, ["gen-scenarios", "--config", str(ws / "config.json"),
+                                          "--method", "mvn", "--n", "30", "--out", str(ws)])
+        assert r.exit_code == 0, r.output
+        cfg = json.loads((ws / "config.json").read_text())
+        (ws / "config.json").write_text(json.dumps({**cfg, "scenarios": "scenarios.csv"}))
+    r = CliRunner().invoke(cli.main, ["optimize", "--config", str(ws / "config.json"),
+                                      "--method", method, "--n", "30", "--seed", "1",
+                                      "--out", str(ws / "opt")])
+    assert r.exit_code == 0, r.output
+    evals = json.loads((ws / "opt" / "manifest.json").read_text())["ga_evaluations"]
+    assert type(evals) is int and evals == 16 * (5 + 1)
+    timing = json.loads(r.stderr.splitlines()[-1])
+    assert set(timing) == {"seconds", "ga_evals_per_s"}
+    assert set(timing["seconds"]) == stages
+    assert all(type(s) is float and s > 0.0 for s in timing["seconds"].values())
+    assert type(timing["ga_evals_per_s"]) is float
+    assert timing["ga_evals_per_s"] == evals / timing["seconds"]["ga"] > 0.0
+
+
 def test_cli_frontier_smoke(tmp_path):
     ws = _cli_workspace(tmp_path)
     runner = CliRunner()

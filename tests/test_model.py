@@ -211,7 +211,7 @@ def test_first_stage_hand_oracle():
     assert first.margin == pytest.approx(1.5, abs=1e-12)
     # exposures: USD 40 - 15 + 1.5 margin, GBP 40 + 15
     assert first.c == pytest.approx([26.5, 55.0], abs=1e-12)
-    assert first.total_violation == 0.0
+    assert float(sum(first.residuals.values())) == 0.0
 
 
 def test_first_stage_cash_violation():

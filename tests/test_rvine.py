@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -261,3 +262,65 @@ def test_json_keeps_edge_diagnostics(fitted_3d):
         assert doc["aic"][i][j] == 2.0 * cop.n_params - 2.0 * cop.loglik
         assert doc["tau"][i][j] == bicop.model_tau(cop)
     assert doc["loglik"][0][0] is None and doc["aic"][0][0] is None
+
+
+# ---------------------------------------------------------------------------
+# fixed-seed goldens and the cost of a fit
+# ---------------------------------------------------------------------------
+
+
+def _gumbel_t_gauss_panel(m=400, seed=0):
+    """Chain 1-2 Gumbel(2), 2-3 Student t(0.6, 4), 3-4 Gaussian(-0.6); the
+    fit keeps one tree-1 edge of each family."""
+    rng = np.random.default_rng(seed)
+    u2 = rng.random(m)
+    u1 = bicop.inv_h(FittedBicop(F.GUMBEL, 2.0), rng.random(m), u2)
+    u3 = bicop.inv_h(FittedBicop(F.STUDENT_T, 0.6, 4.0), rng.random(m), u2)
+    u4 = bicop.inv_h(FittedBicop(F.GAUSSIAN, -0.6), rng.random(m), u3)
+    return np.column_stack([u1, u2, u3, u4])
+
+
+# SHA-256 of `to_json` of the fit and of `sample(fit, 1000, 11).tobytes()`,
+# captured before the fit stopped recomputing Kendall's tau, the Gaussian
+# and t kernels called the scipy.special ufuncs directly, a t fit computed
+# its quantiles once per df and the Gumbel bisection stopped at its fixed
+# point.
+GOLDEN_SPEC_SHA256 = "17bafd57bd1640df8bdd908fc85e1f5285212dd0ec95b85c86c8a2c02e6ed02a"
+GOLDEN_SAMPLE_SHA256 = "cc1b63fdec1b6e0ee1ae7b513b52c1705e2d2b9b475a2849fffb58d4dee0ea42"
+
+
+def test_golden_fit_and_sample():
+    spec = rvine.select_and_fit(_gumbel_t_gauss_panel(), ALL_FAMILIES)
+    tree1 = {frozenset(p): c.family for t, p, _, c in spec.edges() if t == 1}
+    assert tree1 == {frozenset({1, 2}): F.GUMBEL, frozenset({2, 3}): F.STUDENT_T,
+                     frozenset({3, 4}): F.GAUSSIAN}
+    text = rvine.to_json(spec)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SPEC_SHA256
+    draws = rvine.sample(spec, 1000, 11)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == GOLDEN_SAMPLE_SHA256
+
+
+@pytest.mark.parametrize("panel", ["gumbel_t_gauss", "simulated_3d", "independent"])
+def test_one_tau_per_candidate_pair(panel, monkeypatch):
+    data = {"gumbel_t_gauss": _gumbel_t_gauss_panel,
+            "simulated_3d": lambda: _simulated_3d_panel(m=500),
+            "independent": lambda: np.random.default_rng(3).random((200, 5))}[panel]()
+    tau_calls, candidate_pairs = [], []
+    empirical_tau, mst_max = bicop.empirical_tau, rvine._mst_max
+
+    def counting_tau(u, v):
+        tau_calls.append(1)
+        return empirical_tau(u, v)
+
+    def counting_mst(num_nodes, taus):
+        candidate_pairs.append(len(taus))
+        return mst_max(num_nodes, taus)
+
+    monkeypatch.setattr(bicop, "empirical_tau", counting_tau)
+    monkeypatch.setattr(rvine, "_mst_max", counting_mst)
+    spec = rvine.select_and_fit(data, ALL_FAMILIES)
+    n = data.shape[1]
+    assert candidate_pairs[0] == n * (n - 1) // 2 and len(candidate_pairs) == n - 1
+    assert len(tau_calls) == sum(candidate_pairs)
+    if panel != "independent":
+        assert any(c.family is not F.INDEPENDENCE for c in spec.copulas.values())
