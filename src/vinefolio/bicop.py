@@ -13,7 +13,7 @@ arguments; 90/270 rotations carry negated parameter ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -52,6 +52,13 @@ _ROTATION = {
     CopulaFamily.GUMBEL_270: (CopulaFamily.GUMBEL, 270),
 }
 
+_ROT_SWAP = {
+    CopulaFamily.CLAYTON_90: CopulaFamily.CLAYTON_270,
+    CopulaFamily.CLAYTON_270: CopulaFamily.CLAYTON_90,
+    CopulaFamily.GUMBEL_90: CopulaFamily.GUMBEL_270,
+    CopulaFamily.GUMBEL_270: CopulaFamily.GUMBEL_90,
+}
+
 # Inclusive numeric fitting bounds, clamped 1e-4 inside open range ends.
 _THETA_BOUNDS = {
     CopulaFamily.GAUSSIAN: (-1 + 1e-4, 1 - 1e-4),
@@ -66,6 +73,12 @@ _THETA_BOUNDS = {
     CopulaFamily.GUMBEL_90: (-17.0, -1.0),
     CopulaFamily.GUMBEL_270: (-17.0, -1.0),
 }
+
+# Families whose Kendall's tau has one sign whatever the parameter.
+_POSITIVE_ONLY = frozenset({CopulaFamily.CLAYTON, CopulaFamily.GUMBEL,
+                            CopulaFamily.CLAYTON_180, CopulaFamily.GUMBEL_180})
+_NEGATIVE_ONLY = frozenset({CopulaFamily.CLAYTON_90, CopulaFamily.CLAYTON_270,
+                            CopulaFamily.GUMBEL_90, CopulaFamily.GUMBEL_270})
 
 
 def theta_in_range(family: CopulaFamily, theta: float) -> bool:
@@ -274,102 +287,87 @@ def _frank_hinv(w, v, th):
 # ---------------------------------------------------------------------------
 
 
+# Base family -> (density, h, inverse h); only Student's t takes theta2.
+_KERNELS = {
+    CopulaFamily.GAUSSIAN: (_gauss_pdf, _gauss_h, _gauss_hinv),
+    CopulaFamily.STUDENT_T: (_t_pdf, _t_h, _t_hinv),
+    CopulaFamily.CLAYTON: (_clayton_pdf, _clayton_h, _clayton_hinv),
+    CopulaFamily.GUMBEL: (_gumbel_pdf, _gumbel_h, _gumbel_hinv),
+    CopulaFamily.FRANK: (_frank_pdf, _frank_h, _frank_hinv),
+}
+
+
 def _base_eval(kind: str, family: CopulaFamily, u, v, theta, theta2):
-    if family is CopulaFamily.GAUSSIAN:
-        fn = {"pdf": _gauss_pdf, "h": _gauss_h, "hinv": _gauss_hinv}[kind]
-        return fn(u, v, theta)
-    if family is CopulaFamily.STUDENT_T:
-        fn = {"pdf": _t_pdf, "h": _t_h, "hinv": _t_hinv}[kind]
-        return fn(u, v, theta, theta2)
-    if family is CopulaFamily.CLAYTON:
-        fn = {"pdf": _clayton_pdf, "h": _clayton_h, "hinv": _clayton_hinv}[kind]
-        return fn(u, v, theta)
-    if family is CopulaFamily.GUMBEL:
-        fn = {"pdf": _gumbel_pdf, "h": _gumbel_h, "hinv": _gumbel_hinv}[kind]
-        return fn(u, v, theta)
-    if family is CopulaFamily.FRANK:
-        fn = {"pdf": _frank_pdf, "h": _frank_h, "hinv": _frank_hinv}[kind]
-        return fn(u, v, theta)
-    raise ValueError(family)
+    fn = _KERNELS[family][("pdf", "h", "hinv").index(kind)]
+    return fn(u, v, theta, theta2) if family is CopulaFamily.STUDENT_T else fn(u, v, theta)
 
 
 def density(c: FittedBicop, u, v):
     """Copula density c(u, v); arguments are clamped to (0, 1)."""
-    u, v = _clip(u), _clip(v)
-    fam = c.family
+    return _density(c.family, _clip(u), _clip(v), c.theta, c.theta2)
+
+
+def _density(fam: CopulaFamily, u, v, theta, theta2):
+    """`density` at arguments already clamped to (0, 1)."""
     if fam is CopulaFamily.INDEPENDENCE:
         return np.ones(np.broadcast(u, v).shape) if np.ndim(u) or np.ndim(v) else 1.0
     if fam in _ROTATION:
         base, deg = _ROTATION[fam]
-        th = abs(c.theta)
+        th = abs(theta)
         if deg == 180:
-            return _base_eval("pdf", base, 1.0 - u, 1.0 - v, c.theta, c.theta2)
+            return _base_eval("pdf", base, 1.0 - u, 1.0 - v, theta, theta2)
         if deg == 90:
-            return _base_eval("pdf", base, 1.0 - u, v, th, c.theta2)
-        return _base_eval("pdf", base, u, 1.0 - v, th, c.theta2)  # 270
-    return _base_eval("pdf", fam, u, v, c.theta, c.theta2)
+            return _base_eval("pdf", base, 1.0 - u, v, th, theta2)
+        return _base_eval("pdf", base, u, 1.0 - v, th, theta2)  # 270
+    return _base_eval("pdf", fam, u, v, theta, theta2)
+
+
+def _h_or_inverse(kind: str, c: FittedBicop, a, v):
+    """h ("h") or its inverse ("hinv") in its first argument at clamped
+    arguments; a rotation reflects both the same way."""
+    if c.family not in _ROTATION:
+        return _base_eval(kind, c.family, a, v, c.theta, c.theta2)
+    base, deg = _ROTATION[c.family]
+    th = abs(c.theta)
+    if deg == 180:
+        return 1.0 - _base_eval(kind, base, 1.0 - a, 1.0 - v, c.theta, c.theta2)
+    if deg == 90:
+        return 1.0 - _base_eval(kind, base, 1.0 - a, v, th, c.theta2)
+    return _base_eval(kind, base, a, 1.0 - v, th, c.theta2)  # 270
 
 
 def h_func(c: FittedBicop, u, v):
     """Conditional CDF of u given v: dC(u, v)/dv."""
     u, v = _clip(u), _clip(v)
-    fam = c.family
-    if fam is CopulaFamily.INDEPENDENCE:
-        return u
-    if fam in _ROTATION:
-        base, deg = _ROTATION[fam]
-        th = abs(c.theta)
-        if deg == 180:
-            return 1.0 - _base_eval("h", base, 1.0 - u, 1.0 - v, c.theta, c.theta2)
-        if deg == 90:
-            return 1.0 - _base_eval("h", base, 1.0 - u, v, th, c.theta2)
-        return _base_eval("h", base, u, 1.0 - v, th, c.theta2)  # 270
-    return _base_eval("h", fam, u, v, c.theta, c.theta2)
+    return u if c.family is CopulaFamily.INDEPENDENCE else _h_or_inverse("h", c, u, v)
+
+
+def swap_args(c: FittedBicop) -> FittedBicop:
+    """The same copula with its two arguments exchanged. Base families are
+    exchangeable; the 90- and 270-degree rotations turn into each other."""
+    fam = _ROT_SWAP.get(c.family)
+    return c if fam is None else replace(c, family=fam)
 
 
 def h_func_cond_first(c: FittedBicop, u, v):
-    """Conditional CDF of v given u: dC(u, v)/du.
-
-    Base families are exchangeable, so this is h with swapped arguments;
-    rotations are re-mapped explicitly.
-    """
-    fam = c.family
-    if fam not in _ROTATION:
-        return h_func(c, v, u)
-    u, v = _clip(u), _clip(v)
-    base, deg = _ROTATION[fam]
-    th = abs(c.theta)
-    if deg == 180:
-        return 1.0 - _base_eval("h", base, 1.0 - v, 1.0 - u, c.theta, c.theta2)
-    if deg == 90:
-        # dC90/du with C90(u,v) = v - C(1-u, v)
-        return _base_eval("h", base, v, 1.0 - u, th, c.theta2)
-    # 270: dC270/du with C270(u,v) = u - C(u, 1-v)
-    return 1.0 - _base_eval("h", base, 1.0 - v, u, th, c.theta2)
+    """Conditional CDF of v given u: dC(u, v)/du."""
+    return h_func(swap_args(c), v, u)
 
 
 def inv_h(c: FittedBicop, w, v):
     """Inverse of h_func in its first argument: h(inv_h(w|v)|v) = w."""
     w, v = _clip(w), _clip(v)
-    fam = c.family
-    if fam is CopulaFamily.INDEPENDENCE:
+    if c.family is CopulaFamily.INDEPENDENCE:
         return w
-    if fam in _ROTATION:
-        base, deg = _ROTATION[fam]
-        th = abs(c.theta)
-        if deg == 180:
-            return 1.0 - _base_eval("hinv", base, 1.0 - w, 1.0 - v, c.theta, c.theta2)
-        if deg == 90:
-            return 1.0 - _base_eval("hinv", base, 1.0 - w, v, th, c.theta2)
-        out = _base_eval("hinv", base, w, 1.0 - v, th, c.theta2)  # 270
-    else:
-        out = _base_eval("hinv", fam, w, v, c.theta, c.theta2)
-    out = np.clip(out, EPS, 1.0 - EPS)
-    resid = np.max(np.abs(h_func(c, out, v) - w))
-    if not np.isfinite(resid) or resid > 1e-6:
-        raise NonConvergence(
-            f"inv_h residual {resid:.3g} for {fam.value} theta={c.theta}"
-        )
+    out = np.clip(_h_or_inverse("hinv", c, w, v), EPS, 1.0 - EPS)
+    resid = h_func(c, out, v) - w
+    # h is increasing in u: an exact inverse beyond a clip bound leaves h at
+    # that bound short of w on the bound's side, and the bound is the answer.
+    ok = ((np.abs(resid) <= 1e-6) | ((out == 1.0 - EPS) & (resid < 0.0))
+          | ((out == EPS) & (resid > 0.0)))
+    if not np.all(ok):
+        worst = np.max(np.abs(np.where(ok, 0.0, resid)))
+        raise NonConvergence(f"inv_h residual {worst:.3g} for {c.family.value} theta={c.theta}")
     return out
 
 
@@ -459,19 +457,24 @@ def _tau_inversion_start(family: CopulaFamily, tau: float) -> float:
 
 
 def _loglik(family: CopulaFamily, theta: float, theta2, u, v, xy=None) -> float:
-    try:
-        c = FittedBicop(family, theta, theta2)
-    except InvalidParameter:
+    """Log-likelihood at series already clamped to (0, 1), as `fit` passes
+    them; -inf outside the family's parameter range."""
+    if not theta_in_range(family, theta):
         return -np.inf
-    dens = density(c, u, v) if xy is None else _t_pdf(u, v, theta, theta2, xy)
+    dens = _density(family, u, v, theta, theta2) if xy is None else _t_pdf(u, v, theta, theta2, xy)
     with np.errstate(divide="ignore"):
         ll = np.log(np.maximum(dens, 1e-300)).sum()
     return float(ll) if np.isfinite(ll) else -np.inf
 
 
 def fit(family: CopulaFamily, u_series, v_series, tau: float | None = None) -> FittedBicop:
-    """Fit one family by tau-inversion start plus bounded MLE refinement;
-    a given `tau` of the series is reused if clipping leaves them unchanged."""
+    """Fit one family to the series, clamped to (0, 1).
+
+    A one-parameter family starts at its tau inversion and refines it by a
+    bounded likelihood search. Student's t is fitted by "itau": rho is the
+    tau inversion sin(pi tau / 2), and df maximises the likelihood at that
+    rho over log df in [DF_MIN, DF_MAX], bounds included. A given `tau` of
+    the series is reused if clipping leaves them unchanged."""
     u = _clip(u_series)
     v = _clip(v_series)
     if u.size != v.size:
@@ -486,45 +489,29 @@ def fit(family: CopulaFamily, u_series, v_series, tau: float | None = None) -> F
     if tau is None or not (np.array_equal(u, u_series) and np.array_equal(v, v_series)):
         tau = empirical_tau(u, v)
     theta0 = _tau_inversion_start(family, tau)
-    lo, hi = _THETA_BOUNDS[family]
 
     if family is CopulaFamily.STUDENT_T:
         quantiles = {}  # df -> t quantiles of (u, v), for this fit only
 
-        def loglik(th, df):
+        def loglik(df):
             if df not in quantiles:
                 quantiles[df] = (_t_ppf(u, df), _t_ppf(v, df))
-            return _loglik(family, th, df, u, v, quantiles[df])
+            return _loglik(family, theta0, df, u, v, quantiles[df])
 
-        # Log-spaced df grid, then Nelder-Mead on (theta, log df).
-        best = (theta0, 5.0, loglik(theta0, 5.0))
-        for df in np.geomspace(DF_MIN + 0.1, DF_MAX, 8):
-            ll = loglik(theta0, df)
-            if ll > best[2]:
-                best = (theta0, float(df), ll)
-
-        def neg(p):
-            th = float(np.clip(p[0], lo, hi))
-            df = float(np.clip(math.exp(p[1]), DF_MIN, DF_MAX))
-            return -loglik(th, df)
-
-        res = optimize.minimize(
-            neg, [best[0], math.log(best[1])], method="Nelder-Mead",
-            options={"xatol": 1e-5, "fatol": 1e-7, "maxiter": 300},
+        res = optimize.minimize_scalar(
+            lambda x: -loglik(math.exp(x)),
+            bounds=(math.log(DF_MIN), math.log(DF_MAX)), method="bounded",
         )
-        th = float(np.clip(res.x[0], lo, hi))
-        df = float(np.clip(math.exp(res.x[1]), DF_MIN, DF_MAX))
-        ll = loglik(th, df)
-        if ll < best[2]:
-            th, df, ll = best
+        df = max((float(np.clip(math.exp(res.x), DF_MIN, DF_MAX)), DF_MIN, DF_MAX), key=loglik)
+        ll = loglik(df)
         if not np.isfinite(ll):
             raise FitFailure(f"student t fit failed (tau={tau:.3f})")
-        return FittedBicop(family, th, df, loglik=ll, n_obs=m)
+        return FittedBicop(family, theta0, df, loglik=ll, n_obs=m)
 
     ll0 = _loglik(family, theta0, None, u, v)
     res = optimize.minimize_scalar(
         lambda t: -_loglik(family, float(t), None, u, v),
-        bounds=(lo, hi), method="bounded",
+        bounds=_THETA_BOUNDS[family], method="bounded",
         options={"xatol": 1e-7},
     )
     theta, ll = float(res.x), -float(res.fun)
@@ -536,10 +523,21 @@ def fit(family: CopulaFamily, u_series, v_series, tau: float | None = None) -> F
 
 
 def select_family(u_series, v_series, candidates=ALL_FAMILIES, tau=None) -> FittedBicop:
-    """Fit every candidate and keep the one with minimal AIC; `tau` as in `fit`."""
-    candidates = list(candidates)
+    """Fit the candidates that can model dependence of the sign of the
+    series' Kendall's tau and keep the one with minimal AIC.
+
+    `tau`, if given, is that tau of the unclipped series (see `fit`); it is
+    computed once otherwise. Families that model only the opposite sign
+    are not fitted; if no candidate is left, the result is independence.
+    """
+    candidates = set(candidates)
     if not candidates:
         raise FitFailure("empty candidate set")
+    if tau is None:
+        tau = empirical_tau(u_series, v_series)
+    candidates -= _NEGATIVE_ONLY if tau > 0 else _POSITIVE_ONLY if tau < 0 else frozenset()
+    if not candidates:
+        return fit(CopulaFamily.INDEPENDENCE, u_series, v_series)
     best: FittedBicop | None = None
     best_aic = np.inf
     last_error: Exception | None = None

@@ -2,9 +2,9 @@
 
 Every command reads a JSON config file, writes its outputs under
 `--out`, and drops a `manifest.json` capturing the seed and parameters
-so a run can be reproduced byte-for-byte; `optimize` prints where its
-time went to standard error. Exit codes: 0 success, 1 input/validation
-failure, 2 unexpected runtime failure.
+so a run can be reproduced byte-for-byte; `fit-vine` and `optimize`
+print where their time went to standard error. Exit codes: 0 success,
+1 input/validation failure, 2 unexpected runtime failure.
 """
 
 from __future__ import annotations
@@ -171,7 +171,9 @@ def fit_vine_cmd(config_path: str, out_dir: str) -> None:
         cfg_dir = Path(config_path).resolve().parent
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        fitted = scenarios.fit_rvc(_load_adjusted_panel(cfg, cfg_dir))
+        seconds: dict[str, float] = {}
+        panel = _timed(seconds, "load", _load_adjusted_panel, cfg, cfg_dir)
+        fitted = _timed(seconds, "fit", scenarios.fit_rvc, panel)
         if fitted.spec is None:
             raise FitFailure(f"need >= 2 live columns to fit a vine, got {len(fitted.live)}")
         spec = fitted.spec
@@ -180,6 +182,7 @@ def fit_vine_cmd(config_path: str, out_dir: str) -> None:
             json.dumps([fitted.columns[i] for i in fitted.live]) + "\n")
         _write_manifest(out, "fit-vine", None, {"config": cfg})
         click.echo(f"fitted {spec.dimension}-dimensional vine -> {out / 'vine.json'}")
+        click.echo(json.dumps({"seconds": seconds}), err=True)
     _run(body)
 
 

@@ -24,23 +24,6 @@ from . import bicop
 from .bicop import ALL_FAMILIES, CopulaFamily, FittedBicop
 from .errors import FitFailure
 
-_ROT_SWAP = {
-    CopulaFamily.CLAYTON_90: CopulaFamily.CLAYTON_270,
-    CopulaFamily.CLAYTON_270: CopulaFamily.CLAYTON_90,
-    CopulaFamily.GUMBEL_90: CopulaFamily.GUMBEL_270,
-    CopulaFamily.GUMBEL_270: CopulaFamily.GUMBEL_90,
-}
-
-
-def _swap_args(c: FittedBicop) -> FittedBicop:
-    """The same copula with its two arguments exchanged.
-
-    Base families are exchangeable; 90/270 rotations swap into each other.
-    """
-    fam = _ROT_SWAP.get(c.family, c.family)
-    return FittedBicop(fam, c.theta, c.theta2, loglik=c.loglik, n_obs=c.n_obs)
-
-
 @dataclass(frozen=True)
 class _Edge:
     """One pair-copula edge: conditioned pair (a, b) given conditioning set."""
@@ -204,12 +187,11 @@ def select_and_fit(u_panel: dict[str, np.ndarray] | np.ndarray,
                 ) from exc
             all_edges.append(_Edge(var_a, var_b, frozenset(cond), fitted))
             # Pseudo-observations for the next tree.
-            swapped = _swap_args(fitted)
             new_nodes.append((
                 set_a | set_b,
                 {
                     var_a: np.asarray(bicop.h_func(fitted, u_a, u_b)),
-                    var_b: np.asarray(bicop.h_func(swapped, u_b, u_a)),
+                    var_b: np.asarray(bicop.h_func_cond_first(fitted, u_a, u_b)),
                 },
             ))
         if tree == n - 1:
@@ -285,7 +267,7 @@ def _edges_to_spec(n: int, edges: list[_Edge]) -> RVineSpec:
             e = lookup.get((frozenset({d, other}), cond))
             if e is None:
                 raise FitFailure("structure matrix does not match fitted edges")
-            cop = e.copula if e.a == d else _swap_args(e.copula)
+            cop = e.copula if e.a == d else bicop.swap_args(e.copula)
             copulas[(i, j)] = cop
     return spec
 

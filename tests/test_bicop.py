@@ -6,7 +6,7 @@ from scipy import stats
 
 from vinefolio import bicop
 from vinefolio.bicop import ALL_FAMILIES, CopulaFamily as F, FittedBicop
-from vinefolio.errors import InvalidParameter, LengthMismatch
+from vinefolio.errors import InvalidParameter, LengthMismatch, NonConvergence
 
 PARAM_CASES = [
     (F.INDEPENDENCE, 0.0, None),
@@ -163,6 +163,24 @@ def test_inv_h_gaussian_independence():
     assert bicop.inv_h(c, 0.42, 0.9) == pytest.approx(0.42, abs=1e-10)
 
 
+def test_inv_h_returns_the_clip_bound_beyond_which_the_inverse_lies(monkeypatch):
+    # The exact inverses, 1 - 7.7e-13 and 7.7e-13, lie beyond the clip
+    # bounds; h at each bound falls short of w on that bound's side.
+    c = _cop(F.GAUSSIAN, -0.9, None)
+    u = bicop.inv_h(c, 0.999, 1e-10)
+    assert bicop.EPS <= u <= 1.0 - bicop.EPS
+    assert u == 1.0 - bicop.EPS and bicop.h_func(c, u, 1e-10) < 0.999
+    assert bicop.inv_h(c, 0.001, 1.0 - 1e-10) == bicop.EPS
+    both = bicop.inv_h(c, np.array([0.999, 0.5, 0.001]), np.array([1e-10, 0.5, 1.0 - 1e-10]))
+    assert both[0] == 1.0 - bicop.EPS and both[2] == bicop.EPS
+    assert abs(bicop.h_func(c, both[1], 0.5) - 0.5) < 1e-12
+    # A wrong inverse away from the bounds still fails the residual check.
+    pdf, h, _ = bicop._KERNELS[F.GAUSSIAN]
+    monkeypatch.setitem(bicop._KERNELS, F.GAUSSIAN, (pdf, h, lambda w, v, rho: np.full_like(w, 0.5)))
+    with pytest.raises(NonConvergence):
+        bicop.inv_h(c, np.array([0.999, 0.2]), np.array([1e-10, 0.5]))
+
+
 @pytest.mark.parametrize("fam,th", [(F.GAUSSIAN, 0.6), (F.FRANK, 5.0)])
 def test_center_symmetry(fam, th):
     c = _cop(fam, th, None)
@@ -297,6 +315,24 @@ def test_select_family_single_candidate():
     assert sel.family is F.FRANK
 
 
+def test_select_family_fits_only_candidates_of_tau_sign(monkeypatch):
+    s = bicop.sample(_cop(F.GAUSSIAN, -0.6, None), 300, np.random.default_rng(16))
+    u, v = s[:, 0], s[:, 1]
+    taus, fitted = [], []
+    empirical_tau, fit = bicop.empirical_tau, bicop.fit
+    monkeypatch.setattr(bicop, "empirical_tau", lambda a, b: taus.append(1) or empirical_tau(a, b))
+    monkeypatch.setattr(bicop, "fit", lambda fam, *args: fitted.append(fam) or fit(fam, *args))
+    sel = bicop.select_family(u, v, {F.CLAYTON, F.CLAYTON_90, F.GUMBEL_180, F.FRANK})
+    assert sel.family in (F.CLAYTON_90, F.FRANK)
+    assert sorted(f.value for f in fitted) == ["clayton_90", "frank"]
+    assert len(taus) == 1  # once in select_family, reused by every fit
+    # No candidate of the data's sign: the independence copula.
+    fitted.clear()
+    sel = bicop.select_family(u, v, {F.CLAYTON, F.GUMBEL}, tau=-0.4)
+    assert (sel.family, sel.loglik, sel.n_obs) == (F.INDEPENDENCE, 0.0, 300)
+    assert fitted == [F.INDEPENDENCE]
+
+
 def test_fit_reuses_given_tau_only_on_unclipped_series(monkeypatch):
     s = bicop.sample(_cop(F.GUMBEL, 2.0, None), 300, np.random.default_rng(14))
     u, v = s[:, 0], s[:, 1]
@@ -331,6 +367,21 @@ def test_t_fit_computes_quantiles_once_per_df(monkeypatch):
     # One quantile of each series per distinct df.
     assert len(set(dfs)) > 9
     assert all(dfs.count(df) == 2 for df in set(dfs))
+
+
+@pytest.mark.parametrize("fam,th,th2,seed", [
+    (F.STUDENT_T, 0.5, 5.0, 17), (F.STUDENT_T, -0.4, 3.0, 18), (F.GAUSSIAN, 0.6, None, 19),
+])
+def test_t_fit_is_tau_inversion_with_profiled_df(fam, th, th2, seed):
+    s = bicop.sample(_cop(fam, th, th2), 500, np.random.default_rng(seed))
+    u, v = s[:, 0], s[:, 1]
+    fitted = bicop.fit(F.STUDENT_T, u, v)
+    tau = bicop.empirical_tau(u, v)
+    assert fitted.theta == float(np.clip(math.sin(math.pi * tau / 2.0), -1 + 1e-4, 1 - 1e-4))
+    assert bicop.DF_MIN <= fitted.theta2 <= bicop.DF_MAX
+    assert fitted.loglik == bicop._loglik(F.STUDENT_T, fitted.theta, fitted.theta2, u, v)
+    for df in np.geomspace(bicop.DF_MIN, bicop.DF_MAX, 41):
+        assert fitted.loglik >= bicop._loglik(F.STUDENT_T, fitted.theta, float(df), u, v)
 
 
 def _reference_gumbel_hinv(w, v, th):

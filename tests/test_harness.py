@@ -520,6 +520,17 @@ def test_cli_fit_vine_smoke(tmp_path):
         assert (cop.theta, cop.theta2, cop.loglik, cop.n_obs) == (0.0, None, 0.0, 60)
 
 
+def test_cli_fit_vine_says_where_time_went(tmp_path):
+    ws = _cli_workspace(tmp_path)
+    r = CliRunner().invoke(cli.main, ["fit-vine", "--config", str(ws / "config.json"),
+                                      "--out", str(ws / "vine")])
+    assert r.exit_code == 0, r.output
+    timing = json.loads(r.stderr.splitlines()[-1])
+    assert set(timing) == {"seconds"}
+    assert set(timing["seconds"]) == {"load", "fit"}
+    assert all(type(s) is float and s > 0.0 for s in timing["seconds"].values())
+
+
 def test_cli_fit_vine_matches_direct_vine_fit(tmp_path):
     # A dependent panel, fitted as PIT of the live columns followed by
     # `rvine.select_and_fit`: the command writes exactly that vine.
