@@ -14,7 +14,7 @@ class EmptyPanel(VinefolioError):
 
 
 class InvalidParameter(VinefolioError):
-    """Copula parameter outside the admissible range of its family."""
+    """A copula or model parameter out of range, or an inconsistent instance."""
 
 
 class NonConvergence(VinefolioError):

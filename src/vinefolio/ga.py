@@ -66,43 +66,28 @@ class ChromosomeLayout:
 
 
 def _stage_bounds(inst: Instance):
-    """Per-gene (lower, upper, binary flag) for one stage block."""
-    trade_cap_a = 2.0 * inst.w0 / np.maximum(inst.p0_asset, 1e-12)
-    trade_cap_f = 2.0 * inst.w0 / np.maximum(inst.p0_forward, 1e-12)
-    lo, hi, binary = [], [], []
-    for cap in (trade_cap_a, trade_cap_a):          # b_asset, s_asset
-        lo.append(np.zeros_like(cap)); hi.append(cap); binary.append(np.zeros_like(cap, dtype=bool))
-    for _ in range(2):                               # x_asset, y_asset
-        lo.append(np.zeros(inst.n_assets)); hi.append(np.ones(inst.n_assets)); binary.append(np.ones(inst.n_assets, dtype=bool))
-    for cap in (trade_cap_f, trade_cap_f):           # b_fwd, s_fwd
-        lo.append(np.zeros_like(cap)); hi.append(cap); binary.append(np.zeros_like(cap, dtype=bool))
-    for _ in range(2):                               # x_fwd, y_fwd
-        lo.append(np.zeros(inst.n_forwards)); hi.append(np.ones(inst.n_forwards)); binary.append(np.ones(inst.n_forwards, dtype=bool))
-    lo.append(np.zeros(inst.n_currencies)); hi.append(np.ones(inst.n_currencies)); binary.append(np.ones(inst.n_currencies, dtype=bool))  # z
-    return np.concatenate(lo), np.concatenate(hi), np.concatenate(binary)
+    """Per-gene (lower, upper, binary flag) for one stage block: trade caps
+    on b and s, 1 on the x, y and z flags."""
+    na, nf, nc = inst.n_assets, inst.n_forwards, inst.n_currencies
+    cap_a = 2.0 * inst.w0 / np.maximum(inst.p0_asset, 1e-12)
+    cap_f = 2.0 * inst.w0 / np.maximum(inst.p0_forward, 1e-12)
+    upper = np.concatenate([cap_a, cap_a, np.ones(2 * na), cap_f, cap_f, np.ones(2 * nf + nc)])
+    binary = np.repeat([False, True, False, True], [2 * na, 2 * na, 2 * nf, 2 * nf + nc])
+    return np.zeros_like(upper), upper, binary
 
 
 def build_layout(inst: Instance, n_scenarios: int, recourse_mode: str) -> ChromosomeLayout:
-    lo1, hi1, bin1 = _stage_bounds(inst)
-    if recourse_mode == "full":
-        lo = np.concatenate([lo1] + [lo1] * n_scenarios)
-        hi = np.concatenate([hi1] + [hi1] * n_scenarios)
-        binary = np.concatenate([bin1] + [bin1] * n_scenarios)
-    else:
-        lo, hi, binary = lo1, hi1, bin1
+    reps = n_scenarios + 1 if recourse_mode == "full" else 1
+    lo, hi, binary = (np.tile(v, reps) for v in _stage_bounds(inst))
     return ChromosomeLayout(instance=inst, n_scenarios=n_scenarios,
                             recourse_mode=recourse_mode,
                             lower=lo, upper=hi, is_binary=binary)
 
 
 def _split_stage(inst: Instance, genes: np.ndarray):
-    na, nf, nc = inst.n_assets, inst.n_forwards, inst.n_currencies
-    sizes = [na, na, na, na, nf, nf, nf, nf, nc]
-    parts, pos = [], 0
-    for s in sizes:
-        parts.append(genes[..., pos:pos + s])
-        pos += s
-    return parts
+    """The stage's nine gene blocks, split along the first axis."""
+    na, nf = inst.n_assets, inst.n_forwards
+    return np.split(genes, np.cumsum([na, na, na, na, nf, nf, nf, nf]))
 
 
 def stage_length(inst: Instance) -> int:
@@ -110,11 +95,13 @@ def stage_length(inst: Instance) -> int:
 
 
 def _decode_stage(inst: Instance, genes: np.ndarray) -> dict[str, np.ndarray]:
+    """Fields of one stage from its genes, (stage_length, ...batch); each is
+    a (...batch, k) view whose gene axis is outermost in memory."""
     b_a, s_a, xg_a, yg_a, b_f, s_f, xg_f, yg_f, zg = _split_stage(inst, genes)
     x_a, y_a, x_f, y_f, z = ((g > 0.5).astype(float) for g in (xg_a, yg_a, xg_f, yg_f, zg))
     values = (np.maximum(b_a, 0.0) * x_a, np.maximum(s_a, 0.0) * y_a, x_a, y_a,
               np.maximum(b_f, 0.0) * x_f, np.maximum(s_f, 0.0) * y_f, x_f, y_f, z)
-    return dict(zip(model.STAGE_FIELDS, values))
+    return {f: model._first_last(v) for f, v in zip(model.STAGE_FIELDS, values)}
 
 
 def decode(layout: ChromosomeLayout, genes: np.ndarray) -> Solution:
@@ -122,14 +109,16 @@ def decode(layout: ChromosomeLayout, genes: np.ndarray) -> Solution:
     matching flag is off (keeps the pair consistent).
 
     Leading axes of `genes` carry over to every field, so a (P, L)
-    population decodes to one Solution with a leading P axis.
+    population decodes to one Solution with a leading P axis. Full-mode
+    recourse genes are copied once into (stage_length, ...batch, N) memory.
     """
     inst = layout.instance
     sl = stage_length(inst)
-    first = _decode_stage(inst, genes[..., :sl])
+    first = _decode_stage(inst, model._last_first(genes[..., :sl]))
     if layout.recourse_mode != "full":
         return Solution(**first)
     rec = genes[..., sl:].reshape(genes.shape[:-1] + (layout.n_scenarios, sl))
+    rec = np.ascontiguousarray(model._last_first(rec))
     return Solution(**first, **{"r" + k: v for k, v in _decode_stage(inst, rec).items()})
 
 
@@ -158,10 +147,12 @@ def select_stochastic_uniform(weights: np.ndarray, count: int,
     return np.searchsorted(cum, points, side="right").clip(0, weights.size - 1)
 
 
-def crossover_arithmetic(parent_a: np.ndarray, parent_b: np.ndarray) -> np.ndarray:
+def crossover_arithmetic(parent_a: np.ndarray, parent_b: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """The parents' mean, written into `out` when given."""
     if parent_a.shape != parent_b.shape:
         raise LengthMismatch(f"{parent_a.shape} vs {parent_b.shape}")
-    return 0.5 * (parent_a + parent_b)
+    return np.multiply(np.add(parent_a, parent_b, out=out), 0.5, out=out)
 
 
 def mutate_adaptive_feasible(individual: np.ndarray, sigma: float,
@@ -214,9 +205,11 @@ def _initial_population(layout: ChromosomeLayout, config: GAConfig,
 
 # Population rows per evaluation pass are capped so that a pass's P_c x L
 # genes stay under this many elements. In full recourse mode L is the
-# stage length times N + 1, and the stage makes about twenty temporaries
-# of that size.
-_CHUNK_ELEMENTS = 1 << 19
+# stage length times N + 1. Chosen by timing whole `recourse` GA runs
+# (P = 40, N = 200, L = 5226; 2-core x86, BLAS on one thread): a
+# generation took 5.0 ms at 2^17 (25 rows a pass), against 6.5 ms at 2^16
+# and 6.9-7.1 ms at 2^18 and 2^19 (the whole population in one pass).
+_CHUNK_ELEMENTS = 1 << 17
 
 
 def _population_fitness(layout: ChromosomeLayout, pop: np.ndarray,
@@ -238,6 +231,7 @@ def run(inst: Instance, scen: ScenarioSet, config: GAConfig) -> GAResult:
     p_asset, p_fwd = model.scenario_prices(inst, scen)
 
     pop = _initial_population(layout, config, rng)
+    new_pop = np.empty_like(pop)     # filled each generation, then swapped with pop
     fits = _population_fitness(layout, pop, scen, p_asset, p_fwd)
     best_idx = int(np.argmin(fits))
     best_genes = pop[best_idx].copy()
@@ -256,20 +250,16 @@ def run(inst: Instance, scen: ScenarioSet, config: GAConfig) -> GAResult:
         rng.shuffle(parent_idx)
 
         elite_order = np.argsort(fits, kind="stable")[: config.elite_count]
-        new_pop = np.empty_like(pop)
         new_pop[: config.elite_count] = pop[elite_order]
         pos = config.elite_count
-        new_pop[pos:pos + n_cross] = crossover_arithmetic(
-            pop[parent_idx[0:2 * n_cross:2]], pop[parent_idx[1:2 * n_cross:2]])
-        pos += n_cross
-        for mgene in range(n_mut):
-            src = pop[parent_idx[2 * n_cross + mgene]]
-            new_pop[pos] = mutate_adaptive_feasible(
-                src, sigma, layout.lower, layout.upper, rng
-            )
-            pos += 1
+        for i in range(n_cross):
+            crossover_arithmetic(pop[parent_idx[2 * i]], pop[parent_idx[2 * i + 1]],
+                                 out=new_pop[pos + i])
+        for i, parent in enumerate(parent_idx[2 * n_cross:], pos + n_cross):
+            new_pop[i] = mutate_adaptive_feasible(pop[parent], sigma, layout.lower,
+                                                  layout.upper, rng)
 
-        pop = new_pop
+        pop, new_pop = new_pop, pop
         fits = _population_fitness(layout, pop, scen, p_asset, p_fwd)
 
         gen_best = int(np.argmin(fits))
@@ -277,10 +267,8 @@ def run(inst: Instance, scen: ScenarioSet, config: GAConfig) -> GAResult:
         if improved:
             best_fit = float(fits[gen_best])
             best_genes = pop[gen_best].copy()
-        sigma = max(
-            config.mutation_floor,
-            sigma * (config.mutation_grow if improved else config.mutation_shrink),
-        )
+        sigma = max(config.mutation_floor,
+                    sigma * (config.mutation_grow if improved else config.mutation_shrink))
 
     best_sol = decode(layout, best_genes)
     best_eval = model.evaluate(inst, best_sol, scen, p_asset, p_fwd)

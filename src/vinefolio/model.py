@@ -91,6 +91,14 @@ class Instance:
             raise InvalidParameter("min bound exceeds max bound")
         if self.base not in self.currencies:
             raise InvalidParameter(f"base currency {self.base!r} not in universe")
+        unknown = [c for c in self.asset_currency if c not in self.currencies]
+        if unknown:
+            raise InvalidParameter(f"asset currency {unknown[0]!r} not in universe")
+        if any(j1 == j2 or {j1, j2} - set(range(self.n_currencies))
+               for j1, j2 in self.forward_pairs):
+            raise InvalidParameter("each forward must pair two different currencies")
+        if min(self.k_c, self.k_g) < 0:
+            raise InvalidParameter(f"k_c and k_g must be >= 0, got {self.k_c}, {self.k_g}")
         max_pairs = len(self.currencies) * (len(self.currencies) - 1) // 2
         if len(self.forward_pairs) > max_pairs:
             raise InvalidParameter("more forward pairs than currency pairs")
@@ -131,18 +139,22 @@ def default_big_b(w0: float, prices: np.ndarray) -> float:
     return 10.0 * w0 / float(pos.min()) if pos.size else 10.0 * w0
 
 
+_COST_KEYS = ("fixed_buy", "fixed_sell", "var_buy", "var_sell")
+
+
 def instance_from_dict(doc: dict) -> Instance:
     assets = doc["assets"]
     currencies = doc["currencies"]
     forwards = doc.get("forwards", [])
     costs = doc.get("costs", {})
     params = doc["params"]
-    acosts = costs.get("assets", {})
-    fcosts = costs.get("forwards", {})
 
     names = tuple(a["name"] for a in assets)
     ccy_names = tuple(c["name"] for c in currencies)
     ccy_index = {c: j for j, c in enumerate(ccy_names)}
+    unknown = [c for f in forwards for c in f["pair"] if c not in ccy_index]
+    if unknown:
+        raise InvalidParameter(f"forward currency {unknown[0]!r} not in universe")
     pairs = tuple(
         (ccy_index[f["pair"][0]], ccy_index[f["pair"][1]]) for f in forwards
     )
@@ -151,12 +163,9 @@ def instance_from_dict(doc: dict) -> Instance:
         value = doc_.get(key)
         return float(default) if value is None else float(value)
 
-    def asset_cost(name, key):
-        return float(acosts.get(name, {}).get(key, 0.0))
-
-    def fwd_cost(k, key):
-        label = forwards[k].get("name", f"{forwards[k]['pair'][0]}/{forwards[k]['pair'][1]}")
-        return float(fcosts.get(label, {}).get(key, 0.0))
+    def group_costs(group, table, labels):
+        return {f"{key}_{group}": np.array([float(table.get(label, {}).get(key, 0.0))
+                                            for label in labels]) for key in _COST_KEYS}
 
     p0_asset = np.array([float(a["price"]) for a in assets])
     w0 = float(params["w0"])
@@ -184,14 +193,9 @@ def instance_from_dict(doc: dict) -> Instance:
         a0=np.array([float(a.get("a0", 0.0)) for a in assets]),
         q0=np.array([float(f.get("q0", 0.0)) for f in forwards]),
         w0=w0,
-        fixed_buy_asset=np.array([asset_cost(n, "fixed_buy") for n in names]),
-        fixed_sell_asset=np.array([asset_cost(n, "fixed_sell") for n in names]),
-        var_buy_asset=np.array([asset_cost(n, "var_buy") for n in names]),
-        var_sell_asset=np.array([asset_cost(n, "var_sell") for n in names]),
-        fixed_buy_forward=np.array([fwd_cost(k, "fixed_buy") for k in range(len(pairs))]),
-        fixed_sell_forward=np.array([fwd_cost(k, "fixed_sell") for k in range(len(pairs))]),
-        var_buy_forward=np.array([fwd_cost(k, "var_buy") for k in range(len(pairs))]),
-        var_sell_forward=np.array([fwd_cost(k, "var_sell") for k in range(len(pairs))]),
+        **group_costs("asset", costs.get("assets", {}), names),
+        **group_costs("forward", costs.get("forwards", {}),
+                      [f.get("name", "{}/{}".format(*f["pair"])) for f in forwards]),
         p0_asset=p0_asset,
         p0_forward=np.array([float(f.get("price", 1.0)) for f in forwards]),
     )
@@ -199,52 +203,24 @@ def instance_from_dict(doc: dict) -> Instance:
 
 
 def instance_to_dict(inst: Instance) -> dict:
-    assets = []
-    for i, name in enumerate(inst.assets):
-        assets.append({
-            "name": name,
-            "currency": inst.asset_currency[i],
-            "price": float(inst.p0_asset[i]),
-            "a0": float(inst.a0[i]),
-            "a_min": float(inst.a_min[i]),
-            "a_max": None if np.isinf(inst.a_max[i]) else float(inst.a_max[i]),
-            "t_min": float(inst.t_min_asset[i]),
-        })
-    currencies = []
-    for j, name in enumerate(inst.currencies):
-        currencies.append({
-            "name": name,
-            "c_min": None if np.isinf(inst.c_min[j]) else float(inst.c_min[j]),
-            "c_max": None if np.isinf(inst.c_max[j]) else float(inst.c_max[j]),
-        })
-    forwards = []
-    for k, (j1, j2) in enumerate(inst.forward_pairs):
-        forwards.append({
-            "pair": [inst.currencies[j1], inst.currencies[j2]],
-            "price": float(inst.p0_forward[k]),
-            "q0": float(inst.q0[k]),
-            "t_min": float(inst.t_min_forward[k]),
-        })
-    costs = {
-        "assets": {
-            name: {
-                "fixed_buy": float(inst.fixed_buy_asset[i]),
-                "fixed_sell": float(inst.fixed_sell_asset[i]),
-                "var_buy": float(inst.var_buy_asset[i]),
-                "var_sell": float(inst.var_sell_asset[i]),
-            }
-            for i, name in enumerate(inst.assets)
-        },
-        "forwards": {
-            f"{inst.currencies[j1]}/{inst.currencies[j2]}": {
-                "fixed_buy": float(inst.fixed_buy_forward[k]),
-                "fixed_sell": float(inst.fixed_sell_forward[k]),
-                "var_buy": float(inst.var_buy_forward[k]),
-                "var_sell": float(inst.var_sell_forward[k]),
-            }
-            for k, (j1, j2) in enumerate(inst.forward_pairs)
-        },
-    }
+    def bound(value):
+        return None if np.isinf(value) else float(value)
+
+    def cost_table(group, labels):
+        return {label: {key: float(getattr(inst, f"{key}_{group}")[i]) for key in _COST_KEYS}
+                for i, label in enumerate(labels)}
+
+    pairs = [[inst.currencies[j1], inst.currencies[j2]] for j1, j2 in inst.forward_pairs]
+    assets = [{"name": name, "currency": inst.asset_currency[i], "price": float(inst.p0_asset[i]),
+               "a0": float(inst.a0[i]), "a_min": float(inst.a_min[i]),
+               "a_max": bound(inst.a_max[i]), "t_min": float(inst.t_min_asset[i])}
+              for i, name in enumerate(inst.assets)]
+    currencies = [{"name": name, "c_min": bound(inst.c_min[j]), "c_max": bound(inst.c_max[j])}
+                  for j, name in enumerate(inst.currencies)]
+    forwards = [{"pair": pair, "price": float(inst.p0_forward[k]), "q0": float(inst.q0[k]),
+                 "t_min": float(inst.t_min_forward[k])} for k, pair in enumerate(pairs)]
+    costs = {"assets": cost_table("asset", inst.assets),
+             "forwards": cost_table("forward", ["/".join(pair) for pair in pairs])}
     params = {
         "mu": inst.mu, "beta": inst.beta, "v_u": inst.v_u,
         "k_c": inst.k_c, "k_g": inst.k_g, "margin": inst.margin_rate,
@@ -390,8 +366,28 @@ def _currency_onehot(inst: Instance) -> np.ndarray:
     return np.eye(inst.n_currencies)[inst.asset_currency_index()]
 
 
-# Exposures have the currency axis first, (C, ...batch), so that sums over
-# the few currencies add whole arrays instead of reducing length-C rows.
+# Per-instrument arrays have the instrument axis first, (k, ...batch), and
+# exposures the currency axis first, (C, ...batch). Elementwise ops then
+# run over whole batch planes, and sums over assets, forwards or
+# currencies add planes instead of reducing rows of a few elements.
+def _columns(inst: Instance, ndim: int) -> dict[str, np.ndarray]:
+    """Every array field as a (k, 1, ..., 1) column against `ndim` batch
+    axes, and the transposed currency maps; cached on the Instance."""
+    cache = inst.__dict__.setdefault("_columns", {})
+    if ndim not in cache:
+        cache[ndim] = {name: v.reshape((-1,) + (1,) * ndim)
+                       for name, v in vars(inst).items() if isinstance(v, np.ndarray)}
+        cache[ndim].update(onehot_t=_currency_onehot(inst).T.copy(),
+                           sign_t=inst.forward_sign_matrix().T.astype(float))
+    return cache[ndim]
+
+
+def _by_currency(matrix_t: np.ndarray, planes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(C, ...batch) sums of (k, ...batch) planes through a C x k map; z
+    gives the shape, since a reshape to (0, -1) fails with no forwards."""
+    return (matrix_t @ planes.reshape(len(planes), z[0].size)).reshape(z.shape)
+
+
 def _exposure(inst: Instance, asset_ccy_value, overlay_cols, margin) -> np.ndarray:
     """Per-currency exposure; margin cash is held in the base currency."""
     c = asset_ccy_value + overlay_cols
@@ -413,82 +409,83 @@ def _exposure_excess(inst: Instance, z, c):
             + np.maximum(0.0, c - inst.c_max.reshape(per_ccy)).sum(0)) / inst.w0
 
 
-def _trade_size(inst: Instance, buy, sell, x, y, t_min, price):
-    """Value of trades below their minimum size or above B, per unit of W0."""
-    return (
-        (np.maximum(0.0, t_min * x - buy) * price).sum(-1)
-        + (np.maximum(0.0, t_min * y - sell) * price).sum(-1)
-        + (np.maximum(0.0, buy - inst.big_b) * price).sum(-1)
-        + (np.maximum(0.0, sell - inst.big_b) * price).sum(-1)
-    ) / inst.w0
+def _group(inst: Instance, g: str, decisions, price, held, col):
+    """One instrument group's stage, g "asset" or "forward": the units held
+    after its trades, their value and x + y, each (k, ...batch); then,
+    summed over the group, the net cash its trades bring in after costs
+    and the value of trades below t_min or above B, and of negative ones."""
+    b, s, x, y = decisions
+    t_min = col["t_min_" + g]
+    units = held + b * x - s * y
+    sold, bought = s * price, b * price
+    flow = ((sold * (1.0 - col["var_sell_" + g]) - col["fixed_sell_" + g]) * y
+            - (bought * (1.0 + col["var_buy_" + g]) + col["fixed_buy_" + g]) * x).sum(0)
+    size = ((np.maximum(0.0, t_min * x - b) + np.maximum(0.0, t_min * y - s)
+             + np.maximum(0.0, b - inst.big_b) + np.maximum(0.0, s - inst.big_b))
+            * price).sum(0)
+    negative = ((np.maximum(0.0, -b) + np.maximum(0.0, -s)) * price).sum(0)
+    return units, units * price, x + y, flow, size, negative
 
 
 def _trade(inst: Instance, decisions, p_asset, p_fwd, cash, a_held, q_held):
     """One trading stage over the batch axes of its decisions.
 
-    `decisions` are the stage's nine arrays in STAGE_FIELDS order. Prices,
-    the cash carried in and the holdings carried in broadcast against
-    them. Returns (a, q, q_value, c, margin, free_cash, wealth, residuals),
-    with the currency axis of c first.
+    `decisions` are the stage's nine arrays in STAGE_FIELDS order, each
+    (k, ...batch); prices, the cash and the holdings carried in broadcast
+    against them. Returns (a, q, q_value, c, margin, free_cash, wealth,
+    residuals), with a, q and q_value instrument-first, c currency-first.
     """
-    b_a, s_a, x_a, y_a, b_f, s_f, x_f, y_f, z = decisions
-    a = a_held + b_a * x_a - s_a * y_a
-    q = q_held + b_f * x_f - s_f * y_f
+    z = decisions[8]
+    col = _columns(inst, z.ndim - 1)
+    a, asset_value, asset_traded, asset_flow, asset_size, asset_negative = _group(
+        inst, "asset", decisions[0:4], p_asset, a_held, col)
+    q, q_value, fwd_traded, fwd_flow, fwd_size, fwd_negative = _group(
+        inst, "forward", decisions[4:8], p_fwd, q_held, col)
+    net_cash = cash + asset_flow + fwd_flow
+    free_cash = np.maximum(0.0, net_cash)
 
-    sale_proceeds = ((s_a * p_asset) * y_a).sum(-1) + ((s_f * p_fwd) * y_f).sum(-1)
-    sale_costs = (
-        ((inst.fixed_sell_asset + inst.var_sell_asset * s_a * p_asset) * y_a).sum(-1)
-        + ((inst.fixed_sell_forward + inst.var_sell_forward * s_f * p_fwd) * y_f).sum(-1)
-    )
-    buy_outlay = ((b_a * p_asset) * x_a).sum(-1) + ((b_f * p_fwd) * x_f).sum(-1)
-    buy_costs = (
-        ((inst.fixed_buy_asset + inst.var_buy_asset * b_a * p_asset) * x_a).sum(-1)
-        + ((inst.fixed_buy_forward + inst.var_buy_forward * b_f * p_fwd) * x_f).sum(-1)
-    )
-    available = cash + sale_proceeds - sale_costs
-    spend = buy_outlay + buy_costs
-    free_cash = np.maximum(0.0, available - spend)
-
-    onehot = _currency_onehot(inst)
-    q_value = q * p_fwd
-    overlay_cols = np.moveaxis(q_value @ inst.forward_sign_matrix(), -1, 0)
-    margin = inst.margin_rate * (np.abs(q) * p_fwd).sum(-1)
-    asset_value = a * p_asset
-    c = _exposure(inst, np.moveaxis(asset_value @ onehot, -1, 0), overlay_cols, margin)
-    wealth = asset_value.sum(-1) + q_value.sum(-1) + margin + free_cash
+    overlay_cols = _by_currency(col["sign_t"], q_value, z)
+    margin = inst.margin_rate * (np.abs(q) * p_fwd).sum(0)
+    c = _exposure(inst, _by_currency(col["onehot_t"], asset_value, z), overlay_cols, margin)
+    wealth = asset_value.sum(0) + q_value.sum(0) + margin + free_cash
 
     res = {
-        "cash_balance": np.maximum(0.0, spend - available) / inst.w0,
+        "cash_balance": np.maximum(0.0, -net_cash) / inst.w0,
         "total_overlay": _overlay_excess(inst, overlay_cols, c),
-        "buy_or_sell_asset": np.maximum(0.0, x_a + y_a - 1.0).sum(-1),
-        "buy_or_sell_forward": np.maximum(0.0, x_f + y_f - 1.0).sum(-1),
-        "trade_size_asset": _trade_size(inst, b_a, s_a, x_a, y_a,
-                                        inst.t_min_asset, p_asset),
-        "trade_size_forward": _trade_size(inst, b_f, s_f, x_f, y_f,
-                                          inst.t_min_forward, p_fwd),
-        "currency_exposure": _exposure_excess(inst, np.moveaxis(z, -1, 0), c),
+        "buy_or_sell_asset": np.maximum(0.0, asset_traded - 1.0).sum(0),
+        "buy_or_sell_forward": np.maximum(0.0, fwd_traded - 1.0).sum(0),
+        "trade_size_asset": asset_size / inst.w0,
+        "trade_size_forward": fwd_size / inst.w0,
+        "currency_exposure": _exposure_excess(inst, z, c),
         # Country activity: z_j demands at least one trade touching currency j.
-        "country_activity": np.maximum(0.0, z - (x_a + y_a) @ onehot).sum(-1),
-        "currency_cardinality": np.maximum(0.0, z.sum(-1) - inst.k_c),
-        "forward_cardinality": np.maximum(0.0, (x_f + y_f).sum(-1) - inst.k_g),
-        "nonnegative_trades": (
-            (np.maximum(0.0, -b_a) * p_asset).sum(-1)
-            + (np.maximum(0.0, -s_a) * p_asset).sum(-1)
-            + (np.maximum(0.0, -b_f) * p_fwd).sum(-1)
-            + (np.maximum(0.0, -s_f) * p_fwd).sum(-1)
-        ) / inst.w0,
+        "country_activity": np.maximum(
+            0.0, z - _by_currency(col["onehot_t"], asset_traded, z)).sum(0),
+        "currency_cardinality": np.maximum(0.0, z.sum(0) - inst.k_c),
+        "forward_cardinality": np.maximum(0.0, fwd_traded.sum(0) - inst.k_g),
+        "nonnegative_trades": (asset_negative + fwd_negative) / inst.w0,
     }
     return a, q, q_value, c, margin, free_cash, wealth, res
 
 
+def _last_first(v: np.ndarray) -> np.ndarray:
+    """View with the last axis first; np.moveaxis without its checks."""
+    return v.transpose(-1, *range(v.ndim - 1))
+
+
+def _first_last(v: np.ndarray) -> np.ndarray:
+    """View with the first axis last."""
+    return v.transpose(*range(1, v.ndim), 0)
+
+
 def evaluate_first_stage(inst: Instance, sol: Solution) -> FirstStageReport:
+    col = _columns(inst, np.ndim(sol.z) - 1)
     a, q, q_value, c, margin, free_cash, _, res = _trade(
-        inst, [getattr(sol, f) for f in STAGE_FIELDS],
-        inst.p0_asset, inst.p0_forward, inst.h0, inst.a0, inst.q0)
-    F = inst.forward_sign_matrix() * q_value[..., :, None]
-    return FirstStageReport(a=a, q=q, q_value=q_value, F=F,
-                            c=np.moveaxis(c, 0, -1), margin=margin,
-                            free_cash=free_cash, residuals=res)
+        inst, [_last_first(getattr(sol, f)) for f in STAGE_FIELDS],
+        col["p0_asset"], col["p0_forward"], inst.h0, col["a0"], col["q0"])
+    q_value = _first_last(q_value)
+    return FirstStageReport(a=_first_last(a), q=_first_last(q), q_value=q_value,
+                            F=col["sign_t"].T * q_value[..., :, None], c=_first_last(c),
+                            margin=margin, free_cash=free_cash, residuals=res)
 
 
 def _hold(inst: Instance, sol: Solution, first: FirstStageReport,
@@ -531,11 +528,15 @@ def evaluate_recourse(inst: Instance, sol: Solution, first: FirstStageReport,
     """Evaluate all scenarios at once; rows of p_asset/p_fwd are scenarios."""
     if not sol.has_recourse:
         return _hold(inst, sol, first, p_asset, p_fwd)
+    # Scenario prices become (k, 1, ..., N) against the (k, ...batch, N) decisions.
+    ones = (1,) * np.ndim(first.free_cash)
+    p_asset_t, p_fwd_t = (np.ascontiguousarray(p.T).reshape(p.shape[1:] + ones + p.shape[:1])
+                          for p in (p_asset, p_fwd))
     a, q, _, _, margin, free_cash, wealth, res = _trade(
-        inst, [getattr(sol, "r" + f) for f in STAGE_FIELDS], p_asset, p_fwd,
-        first.free_cash[..., None], first.a[..., None, :], first.q[..., None, :])
-    return RecourseReport(a=a, q=q, margin=margin, free_cash=free_cash,
-                          wealth=wealth, residuals=res)
+        inst, [_last_first(getattr(sol, "r" + f)) for f in STAGE_FIELDS], p_asset_t, p_fwd_t, first.free_cash[..., None],
+        _last_first(first.a)[..., None], _last_first(first.q)[..., None])
+    return RecourseReport(a=_first_last(a), q=_first_last(q), margin=margin,
+                          free_cash=free_cash, wealth=wealth, residuals=res)
 
 
 # ---------------------------------------------------------------------------

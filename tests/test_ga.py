@@ -144,6 +144,21 @@ def test_decode_full_mode_recourse_shapes():
     assert set(np.unique(sol.rx_asset)) <= {0.0, 1.0}
 
 
+def test_decode_full_mode_recourse_fields_are_gene_major():
+    # Each recourse field is a (P, N, k) view of (k, P, N) memory, so the
+    # stage evaluator reads every instrument as one contiguous plane.
+    inst = _market_instance(mu=0.003)
+    P, N = 4, 6
+    layout = build_layout(inst, N, "full")
+    sol = decode(layout, np.random.default_rng(1).random((P, layout.length)) * layout.upper)
+    na, nf, nc = inst.n_assets, inst.n_forwards, inst.n_currencies
+    for name, k in zip(model.STAGE_FIELDS, (na, na, na, na, nf, nf, nf, nf, nc)):
+        field = getattr(sol, "r" + name)
+        assert field.shape == (P, N, k), name
+        assert field.strides == (8 * N, 8, 8 * P * N), name
+        assert np.moveaxis(field, -1, 0).flags.c_contiguous, name
+
+
 def _genes_of(layout, sol):
     """The gene vector in `layout` order that holds `sol`'s fields."""
     genes = [getattr(sol, f) for f in model.STAGE_FIELDS]
@@ -233,6 +248,16 @@ def test_sus_zero_count():
 def test_crossover_is_midpoint():
     a, b = np.array([0.0, 2.0, 4.0]), np.array([2.0, 2.0, 0.0])
     assert np.array_equal(crossover_arithmetic(a, b), [1.0, 2.0, 2.0])
+
+
+def test_crossover_writes_child_in_place():
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=50), rng.normal(size=50)
+    rows = np.zeros((3, 50))
+    child = crossover_arithmetic(a, b, out=rows[1])
+    assert np.shares_memory(child, rows[1])
+    assert np.array_equal(rows[1], 0.5 * (a + b))
+    assert not rows[0].any() and not rows[2].any()
 
 
 def test_crossover_length_mismatch():

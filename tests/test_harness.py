@@ -414,6 +414,34 @@ def test_cli_bad_scenario_file_exits_1(tmp_path, text):
     assert r.output.startswith("error:")
 
 
+def _set(path, value):
+    """An edit of an instance document: set the value at a key path."""
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_set(("assets", 1, "currency"), "EUR"), "currency 'EUR' not in universe"),
+    (_set(("forwards", 0, "pair"), ["EUR", "USD"]), "currency 'EUR' not in universe"),
+    (_set(("forwards", 0, "pair"), ["GBP", "GBP"]), "two different currencies"),
+    (_set(("params", "k_c"), -1), "k_c and k_g must be >= 0"),
+    (_set(("params", "k_g"), -1), "k_c and k_g must be >= 0"),
+], ids=["asset-currency", "forward-leg", "same-currency-forward", "k_c", "k_g"])
+def test_cli_bad_instance_exits_1(tmp_path, edit, message):
+    ws = _cli_workspace(tmp_path)
+    doc = json.loads((ws / "instance.json").read_text())
+    edit(doc)
+    (ws / "instance.json").write_text(json.dumps(doc))
+    r = CliRunner().invoke(cli.main, ["optimize", "--config", str(ws / "config.json"),
+                                      "--out", str(ws / "opt")])
+    assert r.exit_code == 1, r.output
+    assert r.output.startswith("error:") and message in r.output, r.output
+
+
 def test_cli_optimize_and_backtest_chain(tmp_path):
     ws = _cli_workspace(tmp_path)
     runner = CliRunner()

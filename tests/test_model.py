@@ -11,6 +11,9 @@ from vinefolio.model import (
 )
 from vinefolio.scenarios import ScenarioSet
 
+from test_acceptance import _market_instance
+from test_ga import _tiny_instance
+
 
 def _make_instance(**overrides):
     """Two assets (EQ in USD, BD in GBP), one GBP/USD forward, base USD."""
@@ -100,6 +103,14 @@ def test_instance_validation():
         _make_instance(base="EUR")
     with pytest.raises(InvalidParameter):
         _make_instance(c_min=np.array([1.0, 1.0]), c_max=np.array([0.0, 0.0]))
+    with pytest.raises(InvalidParameter, match="currency 'EUR' not in universe"):
+        _make_instance(asset_currency=("USD", "EUR"))
+    for pair in ((1, 1), (2, 0), (0, -1)):
+        with pytest.raises(InvalidParameter, match="two different currencies"):
+            _make_instance(forward_pairs=(pair,))
+    for limits in ({"k_c": -1}, {"k_g": -1}):
+        with pytest.raises(InvalidParameter, match="k_c and k_g must be >= 0"):
+            _make_instance(**limits)
 
 
 def test_with_return_target():
@@ -557,3 +568,132 @@ def test_no_recourse_report_holds_views():
                 rec.residuals["currency_cardinality"], rec.residuals["total_overlay"],
                 rec.residuals["currency_exposure"]):
         assert arr.strides[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# The instrument-first stage evaluator against its instrument-last reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_trade(inst, decisions, p_asset, p_fwd, cash, a_held, q_held):
+    """The stage evaluator with the instrument axis last: every argument
+    and per-instrument output is (...batch, k). Kept as the reference that
+    `model._trade` must reproduce up to the order of its sums."""
+    b_a, s_a, x_a, y_a, b_f, s_f, x_f, y_f, z = decisions
+    onehot = np.eye(inst.n_currencies)[inst.asset_currency_index()]
+    sign = inst.forward_sign_matrix()
+
+    def trade_size(buy, sell, x, y, t_min, price):
+        return ((np.maximum(0.0, t_min * x - buy) * price).sum(-1)
+                + (np.maximum(0.0, t_min * y - sell) * price).sum(-1)
+                + (np.maximum(0.0, buy - inst.big_b) * price).sum(-1)
+                + (np.maximum(0.0, sell - inst.big_b) * price).sum(-1)) / inst.w0
+
+    a = a_held + b_a * x_a - s_a * y_a
+    q = q_held + b_f * x_f - s_f * y_f
+    sale_proceeds = ((s_a * p_asset) * y_a).sum(-1) + ((s_f * p_fwd) * y_f).sum(-1)
+    sale_costs = (
+        ((inst.fixed_sell_asset + inst.var_sell_asset * s_a * p_asset) * y_a).sum(-1)
+        + ((inst.fixed_sell_forward + inst.var_sell_forward * s_f * p_fwd) * y_f).sum(-1))
+    buy_outlay = ((b_a * p_asset) * x_a).sum(-1) + ((b_f * p_fwd) * x_f).sum(-1)
+    buy_costs = (
+        ((inst.fixed_buy_asset + inst.var_buy_asset * b_a * p_asset) * x_a).sum(-1)
+        + ((inst.fixed_buy_forward + inst.var_buy_forward * b_f * p_fwd) * x_f).sum(-1))
+    available = cash + sale_proceeds - sale_costs
+    spend = buy_outlay + buy_costs
+    free_cash = np.maximum(0.0, available - spend)
+
+    q_value = q * p_fwd
+    overlay_cols = np.moveaxis(q_value @ sign, -1, 0)
+    margin = inst.margin_rate * (np.abs(q) * p_fwd).sum(-1)
+    asset_value = a * p_asset
+    c = np.moveaxis(asset_value @ onehot, -1, 0) + overlay_cols
+    c[inst.base_index] += margin
+    wealth = asset_value.sum(-1) + q_value.sum(-1) + margin + free_cash
+
+    zc = np.moveaxis(z, -1, 0)
+    per_ccy = (-1,) + (1,) * (c.ndim - 1)
+    floor = np.where(zc > 0.5, inst.c_min.reshape(per_ccy), -np.inf)
+    res = {
+        "cash_balance": np.maximum(0.0, spend - available) / inst.w0,
+        "total_overlay": np.maximum(0.0, 0.5 * np.abs(overlay_cols).sum(0)
+                                    - inst.v_u * c.sum(0)) / inst.w0,
+        "buy_or_sell_asset": np.maximum(0.0, x_a + y_a - 1.0).sum(-1),
+        "buy_or_sell_forward": np.maximum(0.0, x_f + y_f - 1.0).sum(-1),
+        "trade_size_asset": trade_size(b_a, s_a, x_a, y_a, inst.t_min_asset, p_asset),
+        "trade_size_forward": trade_size(b_f, s_f, x_f, y_f, inst.t_min_forward, p_fwd),
+        "currency_exposure": (np.maximum(0.0, floor - c).sum(0) + np.maximum(
+            0.0, c - inst.c_max.reshape(per_ccy)).sum(0)) / inst.w0,
+        "country_activity": np.maximum(0.0, z - (x_a + y_a) @ onehot).sum(-1),
+        "currency_cardinality": np.maximum(0.0, z.sum(-1) - inst.k_c),
+        "forward_cardinality": np.maximum(0.0, (x_f + y_f).sum(-1) - inst.k_g),
+        "nonnegative_trades": ((np.maximum(0.0, -b_a) * p_asset).sum(-1)
+                               + (np.maximum(0.0, -s_a) * p_asset).sum(-1)
+                               + (np.maximum(0.0, -b_f) * p_fwd).sum(-1)
+                               + (np.maximum(0.0, -s_f) * p_fwd).sum(-1)) / inst.w0,
+    }
+    return a, q, q_value, c, margin, free_cash, wealth, res
+
+
+def _stage_arguments(inst, rng, lead):
+    """Random stage arguments, instrument-last, over the batch `lead`.
+
+    Trades are spread over [-B, 2B] so that some are negative and some
+    exceed B; flags are fair coins. Prices vary along the last batch axis
+    (scenarios) and holdings and cash along the others, as in recourse.
+    """
+    na, nf, nc = inst.n_assets, inst.n_forwards, inst.n_currencies
+    sizes = (na, na, na, na, nf, nf, nf, nf, nc)
+    decisions = []
+    for name, k in zip(model.STAGE_FIELDS, sizes):
+        if name[0] in "bs":
+            trade = rng.uniform(0.0, 50.0, lead + (k,))
+            spread = rng.random(lead + (k,))
+            trade[spread < 0.2] -= 60.0
+            trade[spread > 0.9] += inst.big_b
+            decisions.append(trade)
+        else:
+            decisions.append((rng.random(lead + (k,)) < 0.5).astype(float))
+    scen_lead = (1,) * (len(lead) - 1) + lead[-1:]
+    p_asset = inst.p0_asset * rng.uniform(0.8, 1.2, scen_lead + (na,))
+    p_fwd = inst.p0_forward * rng.uniform(0.8, 1.2, scen_lead + (nf,))
+    held_lead = lead[:-1] + (1,) if lead else ()
+    cash = rng.uniform(0.0, 200.0, held_lead)
+    a_held = rng.uniform(0.0, 5.0, held_lead + (na,))
+    q_held = rng.uniform(-5.0, 5.0, held_lead + (nf,))
+    return decisions, p_asset, p_fwd, cash, a_held, q_held
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (4, 6)], ids=["single", "population", "recourse"])
+@pytest.mark.parametrize("make", [
+    _make_instance,                        # t_min > 0, finite c_min, fixed costs
+    _tiny_instance,                        # no forwards
+    lambda: _market_instance(mu=0.003),    # the acceptance market
+], ids=["hand-oracle", "no-forwards", "market"])
+def test_trade_matches_instrument_last_reference(make, lead):
+    inst = make()
+    decisions, p_asset, p_fwd, cash, a_held, q_held = _stage_arguments(
+        inst, np.random.default_rng(len(lead)), lead)
+    expected = _reference_trade(inst, decisions, p_asset, p_fwd, cash, a_held, q_held)
+    first = lambda v: np.moveaxis(v, -1, 0)
+    got = model._trade(inst, [first(d) for d in decisions], first(p_asset), first(p_fwd),
+                       cash, first(a_held), first(q_held))
+    a, q, q_value, c, margin, free_cash, wealth, res = got
+    got_last = (np.moveaxis(a, 0, -1), np.moveaxis(q, 0, -1), np.moveaxis(q_value, 0, -1),
+                c, margin, free_cash, wealth)
+    # Free cash is the difference of the cash brought in and paid out,
+    # which both sides add up in their own order: its error is relative
+    # to the gross cash flow, not to the difference.
+    b_a, s_a, _, _, b_f, s_f = decisions[:6]
+    gross = cash + (((np.abs(b_a) + np.abs(s_a)) * p_asset).sum(-1)
+                    + ((np.abs(b_f) + np.abs(s_f)) * p_fwd).sum(-1)) * 1.1 + 10.0
+    scale = {"free_cash": gross, "cash_balance": gross / inst.w0}
+    names = ("a", "q", "q_value", "c", "margin", "free_cash", "wealth")
+    for key, value, ref in (list(zip(names, got_last, expected[:7]))
+                            + [(k, res[k], v) for k, v in expected[7].items()]):
+        assert np.shape(value) == np.shape(ref), key
+        tol = 1e-12 * np.maximum(np.abs(ref), scale.get(key, 0.0))
+        assert np.all(np.abs(value - ref) <= tol), key
+    assert res.keys() == expected[7].keys()
+    if lead:
+        assert any(np.any(v > 0.0) for v in expected[7].values())
