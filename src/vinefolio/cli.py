@@ -65,11 +65,18 @@ def _load_instance(cfg: dict, cfg_dir: Path) -> model.Instance:
 
 
 def _ga_config(cfg: dict, seed: int) -> ga.GAConfig:
+    def number(key, kind, default):
+        value = cfg.get(key, default)
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from None
+
     return ga.GAConfig(
-        population=int(cfg.get("population", 200)),
-        generations=int(cfg.get("generations", 200)),
-        crossover_rate=float(cfg.get("crossover_rate", 0.8)),
-        elite_count=int(cfg.get("elite_count", 1)),
+        population=number("population", int, 200),
+        generations=number("generations", int, 200),
+        crossover_rate=number("crossover_rate", float, 0.8),
+        elite_count=number("elite_count", int, 1),
         seed=seed,
         recourse_mode=cfg.get("recourse_mode", "full"),
     )
@@ -259,7 +266,7 @@ def optimize_cmd(config_path, mu, method, n_scenarios, seed, kc, kg, out_dir) ->
         _write_manifest(out, "optimize", seed, {
             "config": cfg, "mu": mu, "method": method, "n": n_scenarios,
             "kc": kc, "kg": kg,
-        }, ga_evaluations=evals)
+        }, ga_evaluations=evals, ga_live_evaluations=result.live_evaluations)
         click.echo(f"cvar={ev.cvar:.6f} violation={ev.violation:.3g} "
                    f"-> {out / 'solution.json'}")
         # Wall times differ between reruns, so no file under --out holds them.

@@ -53,6 +53,10 @@ class EmptyScenarios(VinefolioError):
     """CVaR requested on an empty scenario set."""
 
 
+class InvalidConfig(VinefolioError, ValueError):
+    """A genetic-algorithm setting out of range or of an unknown kind."""
+
+
 class InvalidScenarios(VinefolioError, ValueError):
     """Scenario values are not finite or probabilities do not sum to 1."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .errors import LengthMismatch
+from .errors import InvalidConfig, LengthMismatch
 from .model import Evaluation, Instance, Solution
 from .scenarios import ScenarioSet
 
@@ -35,13 +35,13 @@ class GAConfig:
 
     def __post_init__(self):
         if self.population < 2 or self.generations < 1:
-            raise ValueError("need population >= 2 and generations >= 1")
+            raise InvalidConfig("need population >= 2 and generations >= 1")
         if not 0.0 < self.crossover_rate < 1.0:
-            raise ValueError("crossover rate must be in (0,1)")
+            raise InvalidConfig("crossover rate must be in (0,1)")
         if not 1 <= self.elite_count < self.population:
-            raise ValueError("elite count must be in [1, population)")
+            raise InvalidConfig("elite count must be in [1, population)")
         if self.recourse_mode not in ("full", "no-recourse-trades"):
-            raise ValueError(f"unknown recourse mode {self.recourse_mode!r}")
+            raise InvalidConfig(f"unknown recourse mode {self.recourse_mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +182,7 @@ class GAResult:
     cvar: float
     trace: tuple[tuple[int, float, float], ...]   # (generation, best, mean)
     config: GAConfig
+    live_evaluations: int      # evaluated individuals with a recourse flag on
 
 
 def _initial_population(layout: ChromosomeLayout, config: GAConfig,
@@ -203,25 +204,46 @@ def _initial_population(layout: ChromosomeLayout, config: GAConfig,
     return np.clip(pop, layout.lower, layout.upper)
 
 
-# Population rows per evaluation pass are capped so that a pass's P_c x L
-# genes stay under this many elements. In full recourse mode L is the
-# stage length times N + 1. Chosen by timing whole `recourse` GA runs
-# (P = 40, N = 200, L = 5226; 2-core x86, BLAS on one thread): a
-# generation took 5.0 ms at 2^17 (25 rows a pass), against 6.5 ms at 2^16
-# and 6.9-7.1 ms at 2^18 and 2^19 (the whole population in one pass).
+# Rows per pass of fully decoded rows (every row in no-recourse mode, the
+# live rows in full mode) are capped so that a pass's P_c x L genes stay
+# under this many elements. In full recourse mode L is the stage length
+# times N + 1. Chosen by timing whole `recourse` GA runs while every row
+# was decoded in full (P = 40, N = 200, L = 5226; 2-core x86, BLAS on one
+# thread): a generation took 5.0 ms at 2^17 (25 rows a pass), against
+# 6.5 ms at 2^16 and 6.9-7.1 ms at 2^18 and 2^19 (the whole population in
+# one pass).
 _CHUNK_ELEMENTS = 1 << 17
 
 
 def _population_fitness(layout: ChromosomeLayout, pop: np.ndarray,
                         scen: ScenarioSet, p_asset: np.ndarray,
-                        p_fwd: np.ndarray) -> np.ndarray:
-    """Fitness of every row of `pop`, a chunk of rows per pass."""
+                        p_fwd: np.ndarray) -> tuple[np.ndarray, int]:
+    """Fitness of every row of `pop`, and the number of live rows.
+
+    A full-mode row is live when any of its recourse flag genes is above
+    0.5. The other rows, idle ones, decode to all-zero recourse fields, so
+    they are scored in one pass from their first-stage genes alone, with
+    (1, 1, k) zero recourse fields that broadcast against the pass's rows
+    and scenarios. Live rows, and every row in no-recourse mode, are
+    decoded in full, a chunk of rows per pass.
+    """
+    inst = layout.instance
+    sl = stage_length(inst)
+    live = np.logical_and(pop[:, sl:] > 0.5, layout.is_binary[sl:]).any(axis=1)
+    dense = live if layout.recourse_mode == "full" else np.ones(len(pop), dtype=bool)
+    fits = np.empty(len(pop))
+    if not dense.all():
+        first = _decode_stage(inst, model._last_first(pop[~dense, :sl]))
+        zeros = {"r" + f: np.zeros((1, 1, v.shape[-1])) for f, v in first.items()}
+        fits[~dense] = model.population_fitness(inst, Solution(**first, **zeros),
+                                                scen, p_asset, p_fwd)
+        pop = pop[dense]          # live rows are copied only in a mixed pass
+    at = np.flatnonzero(dense)
     rows = max(1, _CHUNK_ELEMENTS // layout.length)
-    return np.concatenate([
-        model.population_fitness(layout.instance, decode(layout, pop[i:i + rows]),
-                                 scen, p_asset, p_fwd)
-        for i in range(0, len(pop), rows)
-    ])
+    for i in range(0, len(pop), rows):
+        fits[at[i:i + rows]] = model.population_fitness(
+            inst, decode(layout, pop[i:i + rows]), scen, p_asset, p_fwd)
+    return fits, int(live.sum())
 
 
 def run(inst: Instance, scen: ScenarioSet, config: GAConfig) -> GAResult:
@@ -232,7 +254,7 @@ def run(inst: Instance, scen: ScenarioSet, config: GAConfig) -> GAResult:
 
     pop = _initial_population(layout, config, rng)
     new_pop = np.empty_like(pop)     # filled each generation, then swapped with pop
-    fits = _population_fitness(layout, pop, scen, p_asset, p_fwd)
+    fits, live_evaluations = _population_fitness(layout, pop, scen, p_asset, p_fwd)
     best_idx = int(np.argmin(fits))
     best_genes = pop[best_idx].copy()
     best_fit = float(fits[best_idx])
@@ -260,7 +282,8 @@ def run(inst: Instance, scen: ScenarioSet, config: GAConfig) -> GAResult:
                                                   layout.upper, rng)
 
         pop, new_pop = new_pop, pop
-        fits = _population_fitness(layout, pop, scen, p_asset, p_fwd)
+        fits, live = _population_fitness(layout, pop, scen, p_asset, p_fwd)
+        live_evaluations += live
 
         gen_best = int(np.argmin(fits))
         improved = fits[gen_best] < best_fit
@@ -274,4 +297,5 @@ def run(inst: Instance, scen: ScenarioSet, config: GAConfig) -> GAResult:
     best_eval = model.evaluate(inst, best_sol, scen, p_asset, p_fwd)
     return GAResult(solution=best_sol, evaluation=best_eval,
                     fitness=best_fit, cvar=best_eval.cvar,
-                    trace=tuple(trace), config=config)
+                    trace=tuple(trace), config=config,
+                    live_evaluations=live_evaluations)

@@ -260,9 +260,11 @@ STAGE_FIELDS = ("b_asset", "s_asset", "x_asset", "y_asset",
 class Solution:
     """First-stage and optional per-scenario recourse decisions.
 
-    Binary arrays hold 0/1 floats. Recourse arrays are (N, ...) shaped;
+    Binary arrays hold 0/1 floats. Recourse arrays are (N, k) shaped;
     None means no recourse trading in any scenario. A population carries
-    one more leading axis on every field.
+    one more leading axis on every field. A recourse field may also have
+    any shape that broadcasts against (..., N, k), such as (1, 1, k) zeros
+    for a population that makes no recourse trade.
     """
 
     b_asset: np.ndarray
@@ -382,10 +384,12 @@ def _columns(inst: Instance, ndim: int) -> dict[str, np.ndarray]:
     return cache[ndim]
 
 
-def _by_currency(matrix_t: np.ndarray, planes: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """(C, ...batch) sums of (k, ...batch) planes through a C x k map; z
-    gives the shape, since a reshape to (0, -1) fails with no forwards."""
-    return (matrix_t @ planes.reshape(len(planes), z[0].size)).reshape(z.shape)
+def _by_currency(matrix_t: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """(C, ...batch) sums of (k, ...batch) planes through a C x k map."""
+    shape = (len(matrix_t),) + planes.shape[1:]
+    if not len(planes):          # no forwards: a reshape to (0, -1) fails
+        return np.zeros(shape)
+    return (matrix_t @ planes.reshape(len(planes), -1)).reshape(shape)
 
 
 def _exposure(inst: Instance, asset_ccy_value, overlay_cols, margin) -> np.ndarray:
@@ -431,9 +435,11 @@ def _trade(inst: Instance, decisions, p_asset, p_fwd, cash, a_held, q_held):
     """One trading stage over the batch axes of its decisions.
 
     `decisions` are the stage's nine arrays in STAGE_FIELDS order, each
-    (k, ...batch); prices, the cash and the holdings carried in broadcast
-    against them. Returns (a, q, q_value, c, margin, free_cash, wealth,
-    residuals), with a, q and q_value instrument-first, c currency-first.
+    (k, ...batch) or a shape of the same rank that broadcasts to it;
+    prices, the cash and the holdings carried in broadcast against them.
+    A residual that depends on the decisions alone keeps their shape.
+    Returns (a, q, q_value, c, margin, free_cash, wealth, residuals), with
+    a, q and q_value instrument-first, c currency-first.
     """
     z = decisions[8]
     col = _columns(inst, z.ndim - 1)
@@ -444,9 +450,9 @@ def _trade(inst: Instance, decisions, p_asset, p_fwd, cash, a_held, q_held):
     net_cash = cash + asset_flow + fwd_flow
     free_cash = np.maximum(0.0, net_cash)
 
-    overlay_cols = _by_currency(col["sign_t"], q_value, z)
+    overlay_cols = _by_currency(col["sign_t"], q_value)
     margin = inst.margin_rate * (np.abs(q) * p_fwd).sum(0)
-    c = _exposure(inst, _by_currency(col["onehot_t"], asset_value, z), overlay_cols, margin)
+    c = _exposure(inst, _by_currency(col["onehot_t"], asset_value), overlay_cols, margin)
     wealth = asset_value.sum(0) + q_value.sum(0) + margin + free_cash
 
     res = {
@@ -459,7 +465,7 @@ def _trade(inst: Instance, decisions, p_asset, p_fwd, cash, a_held, q_held):
         "currency_exposure": _exposure_excess(inst, z, c),
         # Country activity: z_j demands at least one trade touching currency j.
         "country_activity": np.maximum(
-            0.0, z - _by_currency(col["onehot_t"], asset_traded, z)).sum(0),
+            0.0, z - _by_currency(col["onehot_t"], asset_traded)).sum(0),
         "currency_cardinality": np.maximum(0.0, z.sum(0) - inst.k_c),
         "forward_cardinality": np.maximum(0.0, fwd_traded.sum(0) - inst.k_g),
         "nonnegative_trades": (asset_negative + fwd_negative) / inst.w0,
@@ -563,6 +569,14 @@ def _sorted_var(losses: np.ndarray, p: np.ndarray, beta: float):
     return np.take_along_axis(losses, idx, axis=-1)[..., 0][()]
 
 
+def _weighted_sum(values: np.ndarray, p: np.ndarray):
+    """sum(values * p) over the last axis. einsum computes every row the
+    same way, where OpenBLAS's matrix-vector product rounds the last (row
+    count mod 4) rows with another kernel, so a fitness would depend on
+    its row in the pass."""
+    return np.einsum("...n,n->...", values, p)
+
+
 def cvar_objective(losses, probabilities, beta: float) -> tuple[float, float, np.ndarray]:
     """VaR, CVaR and per-scenario shortfalls for a discrete loss distribution.
 
@@ -579,14 +593,14 @@ def cvar_objective(losses, probabilities, beta: float) -> tuple[float, float, np
         raise EmptyScenarios("no losses")
     alpha = (_uniform_var if np.all(p == p[0]) else _sorted_var)(losses, p, beta)
     e = np.maximum(losses - alpha[..., None], 0.0)
-    cvar = alpha + (e @ p) / (1.0 - beta)
+    cvar = alpha + _weighted_sum(e, p) / (1.0 - beta)
     return alpha, cvar, e
 
 
 def expected_return(wealth_vec, probabilities, w0: float) -> float:
     wealth_vec = np.asarray(wealth_vec, dtype=float)
     p = np.asarray(probabilities, dtype=float)
-    return (wealth_vec / w0 - 1.0) @ p
+    return _weighted_sum(wealth_vec / w0 - 1.0, p)
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +658,9 @@ def population_fitness(inst: Instance, sols: Solution, scen: ScenarioSet,
     """Fitness of every solution in a population in one pass.
 
     The fields of `sols` carry a leading population axis, as `ga.decode`
-    makes them from a (P, L) gene array. Entry i is `evaluate`'s fitness
-    of solution i, up to the order of floating-point sums.
+    makes them from a (P, L) gene array; recourse fields may instead
+    broadcast against (P, N, k). Entry i is `evaluate`'s fitness of
+    solution i, up to the order of floating-point sums.
     """
     first = evaluate_first_stage(inst, sols)
     rec = evaluate_recourse(inst, sols, first, p_asset, p_fwd)

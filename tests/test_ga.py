@@ -375,7 +375,7 @@ def test_batched_fitness_matches_evaluate(market, mode):
     p_asset, p_fwd = model.scenario_prices(inst, scen)
     if mode == "full":
         assert decode(layout, pop).rx_asset.any()
-    batched = ga._population_fitness(layout, pop, scen, p_asset, p_fwd)
+    batched, _ = ga._population_fitness(layout, pop, scen, p_asset, p_fwd)
     np.testing.assert_allclose(batched, _one_by_one(layout, pop, scen),
                                rtol=1e-12, atol=0.0)
 
@@ -388,9 +388,124 @@ def test_full_mode_chunks_match_individual_evaluation():
     pop = _random_population(layout, 2 * rows + 1, np.random.default_rng(4))
     assert 1 <= rows < len(pop)
     p_asset, p_fwd = model.scenario_prices(inst, scen)
-    batched = ga._population_fitness(layout, pop, scen, p_asset, p_fwd)
+    batched, _ = ga._population_fitness(layout, pop, scen, p_asset, p_fwd)
     np.testing.assert_allclose(batched, _one_by_one(layout, pop, scen),
                                rtol=1e-12, atol=0.0)
+
+
+def _idle(layout, genes):
+    """`genes` with every recourse flag gene halved into [0, 0.5], so that
+    each row decodes to all-zero recourse fields."""
+    sl = stage_length(layout.instance)
+    idle = genes.copy()
+    flags = np.flatnonzero(layout.is_binary[sl:]) + sl
+    idle[:, flags] *= 0.5
+    return idle
+
+
+def test_mixed_pass_matches_individual_evaluation():
+    # Idle and live rows interleaved; the live rows fill three chunks. One
+    # live row has a single flag on, a z gene just above 0.5.
+    inst = _market_instance(mu=0.003)
+    scen = _market_scenarios(2000, 6)
+    layout = build_layout(inst, scen.n_scenarios, "full")
+    rows = ga._CHUNK_ELEMENTS // layout.length
+    sl = stage_length(inst)
+    edge = _idle(layout, _random_population(layout, 1, np.random.default_rng(9)))
+    edge[0, sl + 1000 * sl + sl - 1] = 0.5 + 1e-9
+    live = np.vstack([_random_population(layout, 2 * rows, np.random.default_rng(7)), edge])
+    idle = _idle(layout, _random_population(layout, 4, np.random.default_rng(8)))
+    pop = np.empty((len(live) + len(idle), layout.length))
+    is_live = np.zeros(len(pop), dtype=bool)
+    is_live[[0, 2, 3, 5, 8]] = True
+    pop[is_live], pop[~is_live] = live, idle
+    assert 1 <= rows < is_live.sum()
+    assert not decode(layout, idle).rx_asset.any() and decode(layout, live).rx_asset.any()
+    p_asset, p_fwd = model.scenario_prices(inst, scen)
+    batched, n_live = ga._population_fitness(layout, pop, scen, p_asset, p_fwd)
+    assert n_live == is_live.sum()
+    np.testing.assert_allclose(batched, _one_by_one(layout, pop, scen),
+                               rtol=1e-12, atol=0.0)
+
+
+def _captured_populations(monkeypatch, inst, scen, cfg):
+    """Every population that `ga.run` evaluates, and the run's result."""
+    pops = []
+    evaluate = ga._population_fitness
+
+    def capture(layout, pop, *args):
+        pops.append(pop.copy())
+        return evaluate(layout, pop, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ga, "_population_fitness", capture)
+        return pops, ga.run(inst, scen, cfg)
+
+
+def test_idle_rows_score_as_dense_rows_of_a_recourse_run(monkeypatch):
+    # The populations of a full-recourse run, as the benchmark's `recourse`
+    # workload makes them: idle rows scored from their first stage alone
+    # match the same rows decoded in full, in one pass of the same rows.
+    inst = _market_instance(mu=0.002)
+    scen = _market_scenarios(200, 12)
+    cfg = GAConfig(population=40, generations=20, seed=12, elite_count=2)
+    pops, _ = _captured_populations(monkeypatch, inst, scen, cfg)
+    layout = build_layout(inst, scen.n_scenarios, "full")
+    p_asset, p_fwd = model.scenario_prices(inst, scen)
+    idle_rows = 0
+    for pop in pops:
+        sol = decode(layout, pop)
+        flags = [getattr(sol, "r" + f) for f in ("x_asset", "y_asset", "x_fwd", "y_fwd", "z")]
+        idle = pop[~np.any([f.any(axis=(1, 2)) for f in flags], axis=0)]
+        idle_rows += len(idle)
+        fast, n_live = ga._population_fitness(layout, idle, scen, p_asset, p_fwd)
+        dense = model.population_fitness(inst, decode(layout, idle), scen, p_asset, p_fwd)
+        assert n_live == 0 and np.array_equal(fast, dense)
+    assert idle_rows > 0
+
+
+def test_full_mode_pass_fitness_is_row_independent(monkeypatch):
+    # A row's fitness does not depend on the other rows of its pass: it
+    # equals the row evaluated alone, and the row in a pass that starts
+    # three rows later, bit for bit. The rows are a full-mode run's last
+    # population, most of them feasible so that the CVaR's last bits show
+    # in the fitness, with small recourse buys switched on in three rows.
+    inst = _market_instance(mu=0.002)
+    scen = _market_scenarios(200, 7)
+    pops, _ = _captured_populations(monkeypatch, inst, scen,
+                                    GAConfig(population=16, generations=30, seed=7))
+    layout = build_layout(inst, scen.n_scenarios, "full")
+    pop = pops[-1].copy()
+    sl, na = stage_length(inst), inst.n_assets
+    recourse = pop[:, sl:].reshape(len(pop), scen.n_scenarios, sl)
+    recourse[[1, 4, 7], ::5, 0] = 1e-3         # b of the first asset
+    recourse[[1, 4, 7], ::5, 2 * na] = 1.0      # its buy flag
+    p_asset, p_fwd = model.scenario_prices(inst, scen)
+
+    def fitness(genes):
+        return model.population_fitness(inst, decode(layout, genes), scen, p_asset, p_fwd)
+
+    whole = fitness(pop)
+    assert np.sum(whole < 1.0) >= 8             # feasible rows: fitness is the CVaR
+    assert np.array_equal(fitness(pop[3:]), whole[3:])
+    for i in range(len(pop)):
+        assert fitness(pop[i:i + 1])[0] == whole[i], i
+
+
+def test_run_counts_live_evaluations(monkeypatch):
+    # A large mutation step switches recourse flags on; the count is the
+    # number of evaluated rows whose decoded recourse fields are not all zero.
+    inst = _tiny_instance(mu=0.005)
+    scen = _tiny_scenarios(n=2)
+    cfg = GAConfig(population=12, generations=5, seed=2, mutation_scale=5.0)
+    pops, result = _captured_populations(monkeypatch, inst, scen, cfg)
+    layout = build_layout(inst, scen.n_scenarios, "full")
+    expected = sum(int(np.any([getattr(decode(layout, g), "r" + f).any()
+                               for f in model.STAGE_FIELDS])) for pop in pops for g in pop)
+    assert 0 < result.live_evaluations == expected < 12 * 6
+    off = ga.run(inst, scen, GAConfig(population=12, generations=5, seed=2, mutation_scale=5.0,
+                                      recourse_mode="no-recourse-trades"))
+    assert off.live_evaluations == 0
 
 
 @pytest.mark.parametrize("mode", ["no-recourse-trades", "full"])

@@ -442,6 +442,24 @@ def test_cli_bad_instance_exits_1(tmp_path, edit, message):
     assert r.output.startswith("error:") and message in r.output, r.output
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("recourse_mode", "bogus", "unknown recourse mode 'bogus'"),
+    ("population", 1, "need population >= 2"),
+    ("crossover_rate", 1.5, "crossover rate must be in (0,1)"),
+    ("elite_count", 0, "elite count must be in [1, population)"),
+    ("population", "many", "config key 'population' must be a number, got 'many'"),
+], ids=["recourse-mode", "population", "crossover-rate", "elite-count", "non-numeric"])
+def test_cli_bad_ga_config_exits_1(tmp_path, key, value, message):
+    ws = _cli_workspace(tmp_path)
+    cfg = json.loads((ws / "config.json").read_text())
+    cfg[key] = value
+    (ws / "config.json").write_text(json.dumps(cfg))
+    r = CliRunner().invoke(cli.main, ["optimize", "--config", str(ws / "config.json"),
+                                      "--out", str(ws / "opt")])
+    assert r.exit_code == 1, r.output
+    assert r.output.startswith("error:") and message in r.output, r.output
+
+
 def test_cli_optimize_and_backtest_chain(tmp_path):
     ws = _cli_workspace(tmp_path)
     runner = CliRunner()
@@ -485,8 +503,11 @@ def test_cli_optimize_says_where_time_went(tmp_path, source, stages):
                                       "--method", method, "--n", "30", "--seed", "1",
                                       "--out", str(ws / "opt")])
     assert r.exit_code == 0, r.output
-    evals = json.loads((ws / "opt" / "manifest.json").read_text())["ga_evaluations"]
+    manifest = json.loads((ws / "opt" / "manifest.json").read_text())
+    evals = manifest["ga_evaluations"]
     assert type(evals) is int and evals == 16 * (5 + 1)
+    assert type(manifest["ga_live_evaluations"]) is int
+    assert manifest["ga_live_evaluations"] == 0     # no recourse genes to switch on
     timing = json.loads(r.stderr.splitlines()[-1])
     assert set(timing) == {"seconds", "ga_evals_per_s"}
     assert set(timing["seconds"]) == stages

@@ -570,6 +570,38 @@ def test_no_recourse_report_holds_views():
         assert arr.strides[0] == 0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: _make_instance(mu=0.01),      # t_min > 0, finite c_min, fixed costs
+    lambda: _market_instance(mu=0.003),   # the acceptance market
+], ids=["hand-oracle", "market"])
+def test_zero_recourse_fields_broadcast(make):
+    # (1, 1, k) zero recourse fields give the report and fitness of dense
+    # (P, N, k) zeros, bit for bit, broadcast to the dense shapes.
+    inst = make()
+    rng = np.random.default_rng(13)
+    columns = (*inst.assets, *inst.currencies)
+    scen = _scenario_set(rng.normal(0.0, 0.03, (40, len(columns))), columns)
+    p_a, p_f = scenario_prices(inst, scen)
+    first_stage = _random_solutions(inst, rng, 7).__dict__
+    first_stage = {k: v for k, v in first_stage.items() if v is not None}
+    dense = Solution(**first_stage, **{"r" + k: np.zeros((7, 40, v.shape[-1]))
+                                       for k, v in first_stage.items()})
+    idle = Solution(**first_stage, **{"r" + k: np.zeros((1, 1, v.shape[-1]))
+                                      for k, v in first_stage.items()})
+    first = evaluate_first_stage(inst, dense)
+    want = evaluate_recourse(inst, dense, first, p_a, p_f)
+    got = evaluate_recourse(inst, idle, first, p_a, p_f)
+    assert got.residuals.keys() == want.residuals.keys()
+    for key in ("a", "q", "margin", "free_cash", "wealth"):
+        ref = getattr(want, key)
+        assert np.array_equal(np.broadcast_to(getattr(got, key), ref.shape), ref), key
+    for key, ref in want.residuals.items():
+        assert np.array_equal(np.broadcast_to(got.residuals[key], ref.shape), ref), key
+    assert any(v.any() for v in want.residuals.values())
+    assert np.array_equal(model.population_fitness(inst, idle, scen, p_a, p_f),
+                          model.population_fitness(inst, dense, scen, p_a, p_f))
+
+
 # ---------------------------------------------------------------------------
 # The instrument-first stage evaluator against its instrument-last reference
 # ---------------------------------------------------------------------------
