@@ -29,9 +29,6 @@ class GAConfig:
     seed: int = 0
     recourse_mode: str = "full"           # "full" or "no-recourse-trades"
     mutation_scale: float = 0.05
-    mutation_grow: float = 1.1
-    mutation_shrink: float = 0.7
-    mutation_floor: float = 1e-6
 
     def __post_init__(self):
         if self.population < 2 or self.generations < 1:
@@ -153,6 +150,11 @@ def crossover_arithmetic(parent_a: np.ndarray, parent_b: np.ndarray,
     if parent_a.shape != parent_b.shape:
         raise LengthMismatch(f"{parent_a.shape} vs {parent_b.shape}")
     return np.multiply(np.add(parent_a, parent_b, out=out), 0.5, out=out)
+
+
+# The mutation step grows after a generation that improves on the best
+# point, shrinks after one that does not, and never falls below the floor.
+_MUTATION_GROW, _MUTATION_SHRINK, _MUTATION_FLOOR = 1.1, 0.7, 1e-6
 
 
 def mutate_adaptive_feasible(individual: np.ndarray, sigma: float,
@@ -290,8 +292,7 @@ def run(inst: Instance, scen: ScenarioSet, config: GAConfig) -> GAResult:
         if improved:
             best_fit = float(fits[gen_best])
             best_genes = pop[gen_best].copy()
-        sigma = max(config.mutation_floor,
-                    sigma * (config.mutation_grow if improved else config.mutation_shrink))
+        sigma = max(_MUTATION_FLOOR, sigma * (_MUTATION_GROW if improved else _MUTATION_SHRINK))
 
     best_sol = decode(layout, best_genes)
     best_eval = model.evaluate(inst, best_sol, scen, p_asset, p_fwd)

@@ -363,23 +363,20 @@ class RecourseReport:
     residuals: dict[str, np.ndarray] = field(repr=False)  # each length N
 
 
-def _currency_onehot(inst: Instance) -> np.ndarray:
-    """A x C matrix with a 1 at each asset's currency."""
-    return np.eye(inst.n_currencies)[inst.asset_currency_index()]
-
-
 # Per-instrument arrays have the instrument axis first, (k, ...batch), and
 # exposures the currency axis first, (C, ...batch). Elementwise ops then
 # run over whole batch planes, and sums over assets, forwards or
 # currencies add planes instead of reducing rows of a few elements.
 def _columns(inst: Instance, ndim: int) -> dict[str, np.ndarray]:
     """Every array field as a (k, 1, ..., 1) column against `ndim` batch
-    axes, and the transposed currency maps; cached on the Instance."""
+    axes, and the transposed currency maps (C x A one-hot of each asset's
+    currency, C x K forward signs); cached on the Instance."""
     cache = inst.__dict__.setdefault("_columns", {})
     if ndim not in cache:
         cache[ndim] = {name: v.reshape((-1,) + (1,) * ndim)
                        for name, v in vars(inst).items() if isinstance(v, np.ndarray)}
-        cache[ndim].update(onehot_t=_currency_onehot(inst).T.copy(),
+        onehot = np.eye(inst.n_currencies)[inst.asset_currency_index()]
+        cache[ndim].update(onehot_t=onehot.T.copy(),
                            sign_t=inst.forward_sign_matrix().T.astype(float))
     return cache[ndim]
 
@@ -505,10 +502,11 @@ def _hold(inst: Instance, sol: Solution, first: FirstStageReport,
     views, not N-row copies.
     """
     shape = np.shape(first.free_cash) + (p_asset.shape[0],)
+    col = _columns(inst, np.ndim(sol.z) - 1)
     margin = inst.margin_rate * (np.abs(first.q) @ p_fwd.T)
     # (C, ...batch, A) position matrices times prices give (C, ...batch, N).
-    fwd_ccy = np.moveaxis(first.q[..., None, :] * inst.forward_sign_matrix().T, -2, 0)
-    asset_ccy = np.moveaxis(first.a[..., None, :] * _currency_onehot(inst).T, -2, 0)
+    fwd_ccy = np.moveaxis(first.q[..., None, :] * col["sign_t"], -2, 0)
+    asset_ccy = np.moveaxis(first.a[..., None, :] * col["onehot_t"], -2, 0)
     overlay_cols = fwd_ccy @ p_fwd.T
     c = _exposure(inst, asset_ccy @ p_asset.T, overlay_cols, margin)
     wealth = (first.a @ p_asset.T + first.q @ p_fwd.T + margin

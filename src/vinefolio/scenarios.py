@@ -119,7 +119,7 @@ class FittedRVC:
     spec: rvine.RVineSpec | None
 
 
-def fit_rvc(panel: ReturnPanel, candidates=ALL_FAMILIES) -> FittedRVC:
+def fit_rvc(panel: ReturnPanel) -> FittedRVC:
     """PIT through per-column KDEs, then a sequential R-vine fit."""
     names = panel.column_names()
     if not names:
@@ -132,19 +132,19 @@ def fit_rvc(panel: ReturnPanel, candidates=ALL_FAMILIES) -> FittedRVC:
     live_names = [names[i] for i in live]
     uniforms, models = (marginals.pit_transform({names[i]: matrix[:, i] for i in live})
                         if live else ({}, {}))
-    spec = (rvine.select_and_fit(uniforms, candidates, column_order=live_names)
+    spec = (rvine.select_and_fit(uniforms, ALL_FAMILIES, column_order=live_names)
             if len(live) > 1 else None)
     return FittedRVC(tuple(names), tuple(live), const,
                      tuple(models[n] for n in live_names), spec)
 
 
-def generate_rvc(panel: ReturnPanel, N: int, candidates=ALL_FAMILIES,
-                 seed: int = 0, fitted: FittedRVC | None = None) -> ScenarioSet:
+def generate_rvc(panel: ReturnPanel, N: int, seed: int = 0,
+                 fitted: FittedRVC | None = None) -> ScenarioSet:
     """Vine-copula scenarios: fit the panel unless `fitted` is its fit, then
     draw vine uniforms and map them through the inverse KDEs."""
     if N < 1:
-        raise ValueError("N must be >= 1")
-    fitted = fitted or fit_rvc(panel, candidates)
+        raise InvalidScenarios(f"need N >= 1 scenarios, got {N}")
+    fitted = fitted or fit_rvc(panel)
     values = np.empty((N, len(fitted.columns)))
     for idx, val in fitted.constants.items():
         values[:, idx] = val
@@ -158,7 +158,7 @@ def generate_rvc(panel: ReturnPanel, N: int, candidates=ALL_FAMILIES,
 def generate_mvn(panel: ReturnPanel, N: int, seed: int = 0) -> ScenarioSet:
     """Multivariate-normal baseline calibrated to the panel's moments."""
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise InvalidScenarios(f"need N >= 1 scenarios, got {N}")
     names = panel.column_names()
     if not names:
         raise EmptyPanel("panel has no columns")
@@ -179,13 +179,13 @@ def generate_mvn(panel: ReturnPanel, N: int, seed: int = 0) -> ScenarioSet:
 
 
 def generate(panel: ReturnPanel, N: int, method: str, seed: int = 0,
-             candidates=ALL_FAMILIES, fitted: FittedRVC | None = None) -> ScenarioSet:
+             fitted: FittedRVC | None = None) -> ScenarioSet:
     """Scenarios of `method`; an rvc draw reuses `fitted` when given."""
     if method == "rvc":
-        return generate_rvc(panel, N, candidates, seed, fitted)
+        return generate_rvc(panel, N, seed, fitted)
     if method == "mvn":
         return generate_mvn(panel, N, seed)
-    raise ValueError(f"unknown method {method!r}")
+    raise InvalidScenarios(f"unknown scenario method {method!r}")
 
 
 def stability_report(panel: ReturnPanel, sizes, method: str, instance,

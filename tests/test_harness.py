@@ -361,22 +361,30 @@ def test_cli_gen_scenarios_round_trips_through_reader(tmp_path):
     assert scen.method == "mvn" and scen.seed == 3
 
 
-def test_cli_malformed_config_exits_1(tmp_path):
+# Every command, including one added later, reads its config through `_command`.
+@pytest.mark.parametrize("text", ["{not json", None], ids=["not-json", "missing-file"])
+@pytest.mark.parametrize("command", sorted(cli.main.commands))
+def test_cli_malformed_config_exits_1(tmp_path, command, text):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    if text is not None:
+        bad.write_text(text)
     runner = CliRunner()
-    r = runner.invoke(cli.main, ["gen-scenarios", "--config", str(bad),
+    r = runner.invoke(cli.main, [command, "--config", str(bad),
                                  "--out", str(tmp_path / "out")])
-    assert r.exit_code == 1
+    assert r.exit_code == 1, r.output
+    assert r.output.startswith("error: config file") and "bad.json" in r.output, r.output
+    assert not (tmp_path / "out").exists()
 
 
-def test_cli_missing_config_key_exits_1(tmp_path):
+@pytest.mark.parametrize("command", sorted(cli.main.commands))
+def test_cli_missing_config_key_exits_1(tmp_path, command):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"base": "USD"}))
     runner = CliRunner()
-    r = runner.invoke(cli.main, ["gen-scenarios", "--config", str(cfg),
+    r = runner.invoke(cli.main, [command, "--config", str(cfg),
                                  "--out", str(tmp_path / "out")])
-    assert r.exit_code == 1
+    assert r.exit_code == 1, r.output
+    assert r.output.startswith("error: config is missing required key"), r.output
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf"])
@@ -438,6 +446,70 @@ def test_cli_bad_instance_exits_1(tmp_path, edit, message):
     (ws / "instance.json").write_text(json.dumps(doc))
     r = CliRunner().invoke(cli.main, ["optimize", "--config", str(ws / "config.json"),
                                       "--out", str(ws / "opt")])
+    assert r.exit_code == 1, r.output
+    assert r.output.startswith("error:") and message in r.output, r.output
+
+
+def _inputs(files=None, edit_instance=None, **config):
+    """An edit of a workspace: write `files`, edit the instance document,
+    set config keys."""
+    def edit(ws, cfg):
+        for name, text in (files or {}).items():
+            (ws / name).write_text(text)
+        if edit_instance:
+            doc = json.loads((ws / "instance.json").read_text())
+            edit_instance(doc)
+            (ws / "instance.json").write_text(json.dumps(doc))
+        cfg.update(config)
+    return edit
+
+
+# A first stage for the workspace's 2 assets, 1 forward and 2 currencies.
+_FIRST_STAGE = {key: [0.0] if key.endswith("_fwd") else [0.0, 0.0] for key in model.STAGE_FIELDS}
+_BACKTEST = {"solution": "sol.json", "oos_panel": "panel.csv"}
+
+
+def _solution(**first_stage):
+    return {"sol.json": json.dumps({"first_stage": first_stage})}
+
+
+@pytest.mark.parametrize("args,edit,message", [
+    (["frontier"], _inputs(mu_grid=["x"]), "config key 'mu_grid[0]' must be a number"),
+    (["frontier"], _inputs(mu_grid=5), "config key 'mu_grid' must be a non-empty list"),
+    (["stability"], _inputs(sizes=["a"]), "config key 'sizes[0]' must be a number"),
+    (["stability"], _inputs(stability_seeds="x"),
+     "config key 'stability_seeds' must be a non-empty list"),
+    (["stability"], _inputs(sizes=[0]), "need N >= 1 scenarios, got 0"),
+    (["gen-scenarios", "--n", "0"], _inputs(), "need N >= 1 scenarios, got 0"),
+    (["optimize", "--n", "0"], _inputs(), "need N >= 1 scenarios, got 0"),
+    (["optimize"], _inputs({"instance.json": "{oops"}),
+     "instance.json: Expecting property name enclosed in double quotes: line 1 column 2"),
+    (["optimize"], _inputs(edit_instance=lambda doc: doc.pop("params")),
+     "instance.json is missing key 'params'"),
+    (["optimize"], _inputs(edit_instance=_set(("assets", 0, "price"), "x")),
+     "instance.json: could not convert string to float: 'x'"),
+    (["backtest"], _inputs({"sol.json": "{oops"}, **_BACKTEST),
+     "sol.json is not valid JSON: Expecting property name"),
+    (["backtest"], _inputs(_solution(**{k: v for k, v in _FIRST_STAGE.items()
+                                        if k != "s_asset"}), **_BACKTEST),
+     "sol.json: no list of numbers in 's_asset'"),
+    (["backtest"], _inputs(_solution(**dict.fromkeys(model.STAGE_FIELDS, [0.0])), **_BACKTEST),
+     "sol.json: 'b_asset' must hold 2 finite numbers"),
+    (["optimize"], _inputs({"scen.csv": SCENARIO_HEADER + "0,0.01,0.02,0.0,0.0\n",
+                            "scen.json": "{oops"}, scenarios="scen.csv"),
+     "scen.json is not valid JSON: Expecting property name"),
+], ids=["mu-grid-item", "mu-grid-not-list", "sizes-item", "seeds-not-list", "size-0",
+        "gen-scenarios-n-0", "optimize-n-0", "instance-not-json", "instance-no-params",
+        "instance-price", "solution-not-json", "solution-no-field", "solution-short",
+        "sidecar-not-json"])
+def test_cli_bad_input_exits_1(tmp_path, args, edit, message):
+    ws = _cli_workspace(tmp_path)
+    cfg = json.loads((ws / "config.json").read_text())
+    edit(ws, cfg)
+    (ws / "config.json").write_text(json.dumps(cfg))
+    method = [] if args[0] == "backtest" else ["--method", "mvn"]
+    r = CliRunner().invoke(cli.main, [*args, *method, "--config", str(ws / "config.json"),
+                                      "--out", str(ws / "out")])
     assert r.exit_code == 1, r.output
     assert r.output.startswith("error:") and message in r.output, r.output
 
