@@ -6,8 +6,14 @@ elliptical (Gaussian, Student's t) and Archimedean (Clayton, Gumbel,
 Frank) families plus the 90/180/270-degree rotations of Clayton and
 Gumbel, and the independence copula.
 
-Rotated families are evaluated through the base family at reflected
-arguments; 90/270 rotations carry negated parameter ranges.
+`_ROTATION` (rotated family -> base family, degrees) states the rotations
+once; every fact of a rotated family follows from it by one rule. Density,
+h and inverse h are the base family's with the first argument reflected
+(x -> 1 - x) at 90 and 180 degrees and the second at 180 and 270; h and
+its inverse reflect back with the first. At 90 and 270 degrees the base
+family's parameter, range, fitting bounds, tau inversion and Kendall's tau
+are negated, so those Clayton and Gumbel rotations model only negative
+tau, and exchanging the two arguments turns each into the other.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ class CopulaFamily(Enum):
 
 ALL_FAMILIES = frozenset(CopulaFamily)
 
-# (base family, rotation degrees)
+# Rotated family -> (base family, rotation degrees); see the module docstring.
 _ROTATION = {
     CopulaFamily.CLAYTON_90: (CopulaFamily.CLAYTON, 90),
     CopulaFamily.CLAYTON_180: (CopulaFamily.CLAYTON, 180),
@@ -52,51 +58,45 @@ _ROTATION = {
     CopulaFamily.GUMBEL_270: (CopulaFamily.GUMBEL, 270),
 }
 
-_ROT_SWAP = {
-    CopulaFamily.CLAYTON_90: CopulaFamily.CLAYTON_270,
-    CopulaFamily.CLAYTON_270: CopulaFamily.CLAYTON_90,
-    CopulaFamily.GUMBEL_90: CopulaFamily.GUMBEL_270,
-    CopulaFamily.GUMBEL_270: CopulaFamily.GUMBEL_90,
-}
 
-# Inclusive numeric fitting bounds, clamped 1e-4 inside open range ends.
+def _base(family: CopulaFamily) -> tuple[CopulaFamily, int, int]:
+    """(base family, rotation degrees, parameter sign): the sign is -1 at
+    90 and 270 degrees. A base family is its own base at 0 degrees."""
+    base, deg = _ROTATION.get(family, (family, 0))
+    return base, deg, -1 if deg in (90, 270) else 1
+
+
+# Inclusive numeric fitting bounds of the base families, clamped 1e-4
+# inside open range ends; `_bounds` gives a rotated family's.
 _THETA_BOUNDS = {
     CopulaFamily.GAUSSIAN: (-1 + 1e-4, 1 - 1e-4),
     CopulaFamily.STUDENT_T: (-1 + 1e-4, 1 - 1e-4),
     CopulaFamily.CLAYTON: (1e-4, 28.0),
     CopulaFamily.GUMBEL: (1.0, 17.0),
     CopulaFamily.FRANK: (-35.0, 35.0),
-    CopulaFamily.CLAYTON_180: (1e-4, 28.0),
-    CopulaFamily.GUMBEL_180: (1.0, 17.0),
-    CopulaFamily.CLAYTON_90: (-28.0, -1e-4),
-    CopulaFamily.CLAYTON_270: (-28.0, -1e-4),
-    CopulaFamily.GUMBEL_90: (-17.0, -1.0),
-    CopulaFamily.GUMBEL_270: (-17.0, -1.0),
 }
 
-# Families whose Kendall's tau has one sign whatever the parameter.
-_POSITIVE_ONLY = frozenset({CopulaFamily.CLAYTON, CopulaFamily.GUMBEL,
-                            CopulaFamily.CLAYTON_180, CopulaFamily.GUMBEL_180})
-_NEGATIVE_ONLY = frozenset({CopulaFamily.CLAYTON_90, CopulaFamily.CLAYTON_270,
-                            CopulaFamily.GUMBEL_90, CopulaFamily.GUMBEL_270})
+
+def _bounds(family: CopulaFamily) -> tuple[float, float]:
+    base, _, sign = _base(family)
+    lo, hi = _THETA_BOUNDS[base]
+    return (lo, hi) if sign > 0 else (-hi, -lo)
 
 
 def theta_in_range(family: CopulaFamily, theta: float) -> bool:
     """Whether theta lies in the family's admissible parameter range."""
     if family is CopulaFamily.INDEPENDENCE:
         return True
-    if family in (CopulaFamily.GAUSSIAN, CopulaFamily.STUDENT_T):
+    base, _, sign = _base(family)
+    theta = sign * theta
+    if base in (CopulaFamily.GAUSSIAN, CopulaFamily.STUDENT_T):
         return -1.0 < theta < 1.0
-    if family in (CopulaFamily.CLAYTON, CopulaFamily.CLAYTON_180):
+    if base is CopulaFamily.CLAYTON:
         return theta > 0.0
-    if family in (CopulaFamily.GUMBEL, CopulaFamily.GUMBEL_180):
+    if base is CopulaFamily.GUMBEL:
         return theta >= 1.0
-    if family is CopulaFamily.FRANK:
+    if base is CopulaFamily.FRANK:
         return theta != 0.0
-    if family in (CopulaFamily.CLAYTON_90, CopulaFamily.CLAYTON_270):
-        return theta < 0.0
-    if family in (CopulaFamily.GUMBEL_90, CopulaFamily.GUMBEL_270):
-        return theta <= -1.0
     raise ValueError(family)
 
 
@@ -297,9 +297,15 @@ _KERNELS = {
 }
 
 
-def _base_eval(kind: str, family: CopulaFamily, u, v, theta, theta2):
-    fn = _KERNELS[family][("pdf", "h", "hinv").index(kind)]
-    return fn(u, v, theta, theta2) if family is CopulaFamily.STUDENT_T else fn(u, v, theta)
+def _evaluate(kind: str, family: CopulaFamily, a, v, theta, theta2):
+    """Density ("pdf"), h ("h") or inverse h ("hinv") of a family other than
+    independence at clamped arguments, by the module docstring's rotation rule."""
+    base, deg, sign = _base(family)
+    flip_a, flip_v = deg in (90, 180), deg in (180, 270)
+    fn = _KERNELS[base][("pdf", "h", "hinv").index(kind)]
+    args = (1.0 - a if flip_a else a, 1.0 - v if flip_v else v, sign * theta)
+    out = fn(*args, theta2) if base is CopulaFamily.STUDENT_T else fn(*args)
+    return 1.0 - out if flip_a and kind != "pdf" else out
 
 
 def density(c: FittedBicop, u, v):
@@ -311,42 +317,23 @@ def _density(fam: CopulaFamily, u, v, theta, theta2):
     """`density` at arguments already clamped to (0, 1)."""
     if fam is CopulaFamily.INDEPENDENCE:
         return np.ones(np.broadcast(u, v).shape) if np.ndim(u) or np.ndim(v) else 1.0
-    if fam in _ROTATION:
-        base, deg = _ROTATION[fam]
-        th = abs(theta)
-        if deg == 180:
-            return _base_eval("pdf", base, 1.0 - u, 1.0 - v, theta, theta2)
-        if deg == 90:
-            return _base_eval("pdf", base, 1.0 - u, v, th, theta2)
-        return _base_eval("pdf", base, u, 1.0 - v, th, theta2)  # 270
-    return _base_eval("pdf", fam, u, v, theta, theta2)
-
-
-def _h_or_inverse(kind: str, c: FittedBicop, a, v):
-    """h ("h") or its inverse ("hinv") in its first argument at clamped
-    arguments; a rotation reflects both the same way."""
-    if c.family not in _ROTATION:
-        return _base_eval(kind, c.family, a, v, c.theta, c.theta2)
-    base, deg = _ROTATION[c.family]
-    th = abs(c.theta)
-    if deg == 180:
-        return 1.0 - _base_eval(kind, base, 1.0 - a, 1.0 - v, c.theta, c.theta2)
-    if deg == 90:
-        return 1.0 - _base_eval(kind, base, 1.0 - a, v, th, c.theta2)
-    return _base_eval(kind, base, a, 1.0 - v, th, c.theta2)  # 270
+    return _evaluate("pdf", fam, u, v, theta, theta2)
 
 
 def h_func(c: FittedBicop, u, v):
     """Conditional CDF of u given v: dC(u, v)/dv."""
     u, v = _clip(u), _clip(v)
-    return u if c.family is CopulaFamily.INDEPENDENCE else _h_or_inverse("h", c, u, v)
+    return u if c.family is CopulaFamily.INDEPENDENCE else _evaluate(
+        "h", c.family, u, v, c.theta, c.theta2)
 
 
 def swap_args(c: FittedBicop) -> FittedBicop:
     """The same copula with its two arguments exchanged. Base families are
     exchangeable; the 90- and 270-degree rotations turn into each other."""
-    fam = _ROT_SWAP.get(c.family)
-    return c if fam is None else replace(c, family=fam)
+    base, deg, _ = _base(c.family)
+    if deg not in (90, 270):
+        return c
+    return replace(c, family=next(f for f, rot in _ROTATION.items() if rot == (base, 360 - deg)))
 
 
 def h_func_cond_first(c: FittedBicop, u, v):
@@ -359,7 +346,7 @@ def inv_h(c: FittedBicop, w, v):
     w, v = _clip(w), _clip(v)
     if c.family is CopulaFamily.INDEPENDENCE:
         return w
-    out = np.clip(_h_or_inverse("hinv", c, w, v), EPS, 1.0 - EPS)
+    out = np.clip(_evaluate("hinv", c.family, w, v, c.theta, c.theta2), EPS, 1.0 - EPS)
     resid = h_func(c, out, v) - w
     # h is increasing in u: an exact inverse beyond a clip bound leaves h at
     # that bound short of w on the bound's side, and the bound is the answer.
@@ -383,22 +370,21 @@ def _debye1(x: float) -> float:
 
 def model_tau(c: FittedBicop) -> float:
     """Kendall's tau implied by the fitted parameters."""
-    fam, th = c.family, c.theta
-    if fam is CopulaFamily.INDEPENDENCE:
+    if c.family is CopulaFamily.INDEPENDENCE:
         return 0.0
-    if fam in (CopulaFamily.GAUSSIAN, CopulaFamily.STUDENT_T):
-        return 2.0 / math.pi * math.asin(th)
-    if fam is CopulaFamily.FRANK:
-        return 1.0 - 4.0 / th * (1.0 - _debye1(th))
-    if fam in _ROTATION:
-        base, deg = _ROTATION[fam]
-        tb = model_tau(FittedBicop(base, abs(th)))
-        return tb if deg == 180 else -tb
-    if fam is CopulaFamily.CLAYTON:
-        return th / (th + 2.0)
-    if fam is CopulaFamily.GUMBEL:
-        return 1.0 - 1.0 / th
-    raise ValueError(fam)
+    base, _, sign = _base(c.family)
+    th = sign * c.theta
+    if base in (CopulaFamily.GAUSSIAN, CopulaFamily.STUDENT_T):
+        tau = 2.0 / math.pi * math.asin(th)
+    elif base is CopulaFamily.FRANK:
+        tau = 1.0 - 4.0 / th * (1.0 - _debye1(th))
+    elif base is CopulaFamily.CLAYTON:
+        tau = th / (th + 2.0)
+    elif base is CopulaFamily.GUMBEL:
+        tau = 1.0 - 1.0 / th
+    else:
+        raise ValueError(c.family)
+    return sign * tau
 
 
 def empirical_tau(u_series, v_series) -> float:
@@ -424,36 +410,29 @@ def tau_independence_threshold(m: int) -> float:
 
 
 def _tau_inversion_start(family: CopulaFamily, tau: float) -> float:
-    lo, hi = _THETA_BOUNDS[family]
-    if family in (CopulaFamily.GAUSSIAN, CopulaFamily.STUDENT_T):
+    """The family's parameter of Kendall's tau `tau`, within its fitting
+    bounds: the base family's inversion, with the rotation's sign."""
+    base, _, sign = _base(family)
+    lo, hi = _THETA_BOUNDS[base]
+    if base in (CopulaFamily.GAUSSIAN, CopulaFamily.STUDENT_T):
         th = math.sin(math.pi * tau / 2.0)
-    elif family in (CopulaFamily.CLAYTON, CopulaFamily.CLAYTON_180):
+    elif base is CopulaFamily.CLAYTON:
         t = max(abs(tau), 1e-4)
         th = 2.0 * t / (1.0 - t) if t < 1.0 else hi
-    elif family in (CopulaFamily.CLAYTON_90, CopulaFamily.CLAYTON_270):
-        t = max(abs(tau), 1e-4)
-        th = -(2.0 * t / (1.0 - t)) if t < 1.0 else lo
-    elif family in (CopulaFamily.GUMBEL, CopulaFamily.GUMBEL_180):
+    elif base is CopulaFamily.GUMBEL:
         th = 1.0 / max(1.0 - abs(tau), 1e-6)
-    elif family in (CopulaFamily.GUMBEL_90, CopulaFamily.GUMBEL_270):
-        th = -1.0 / max(1.0 - abs(tau), 1e-6)
-    elif family is CopulaFamily.FRANK:
+    elif base is CopulaFamily.FRANK and abs(tau) < 1e-5:
+        th = 1e-3 if tau >= 0 else -1e-3
+    elif base is CopulaFamily.FRANK:
         # Numeric inversion of the Debye-function tau formula.
-        if abs(tau) < 1e-5:
-            th = 1e-3 if tau >= 0 else -1e-3
-        else:
-
-            def f(t):
-                return model_tau(FittedBicop(CopulaFamily.FRANK, t)) - tau
-
-            a, b = (1e-6, 35.0) if tau > 0 else (-35.0, -1e-6)
-            try:
-                th = optimize.brentq(f, a, b, xtol=1e-9)
-            except ValueError:
-                th = b if tau > 0 else a
+        a, b = (1e-6, 35.0) if tau > 0 else (-35.0, -1e-6)
+        try:
+            th = optimize.brentq(lambda t: model_tau(FittedBicop(base, t)) - tau, a, b, xtol=1e-9)
+        except ValueError:
+            th = b if tau > 0 else a
     else:
         raise ValueError(family)
-    return float(np.clip(th, lo, hi))
+    return sign * float(np.clip(th, lo, hi))
 
 
 def _loglik(family: CopulaFamily, theta: float, theta2, u, v, xy=None) -> float:
@@ -511,7 +490,7 @@ def fit(family: CopulaFamily, u_series, v_series, tau: float | None = None) -> F
     ll0 = _loglik(family, theta0, None, u, v)
     res = optimize.minimize_scalar(
         lambda t: -_loglik(family, float(t), None, u, v),
-        bounds=_THETA_BOUNDS[family], method="bounded",
+        bounds=_bounds(family), method="bounded",
         options={"xatol": 1e-7},
     )
     theta, ll = float(res.x), -float(res.fun)
@@ -535,7 +514,8 @@ def select_family(u_series, v_series, candidates=ALL_FAMILIES, tau=None) -> Fitt
         raise FitFailure("empty candidate set")
     if tau is None:
         tau = empirical_tau(u_series, v_series)
-    candidates -= _NEGATIVE_ONLY if tau > 0 else _POSITIVE_ONLY if tau < 0 else frozenset()
+    candidates = {fam for fam in candidates if not (
+        _base(fam)[0] in (CopulaFamily.CLAYTON, CopulaFamily.GUMBEL) and _base(fam)[2] * tau < 0)}
     if not candidates:
         return fit(CopulaFamily.INDEPENDENCE, u_series, v_series)
     best: FittedBicop | None = None

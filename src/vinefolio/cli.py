@@ -82,9 +82,15 @@ def _numbers(cfg: dict, key: str, kind=float, default=None) -> list:
 
 
 def _load_adjusted_panel(cfg: dict, cfg_dir: Path, key: str = "panel") -> ReturnPanel:
-    panel = harness.load_panel(str(_path(cfg, cfg_dir, key)), cfg.get("asset_currency", {}),
-                               _require(cfg, "base"))
-    return adjust_returns(panel)
+    path, base = _path(cfg, cfg_dir, key), _require(cfg, "base")
+    asset_currency = cfg.get("asset_currency", {})
+    if not isinstance(base, str):
+        raise ConfigError(f"config key 'base' must be a currency code, got {base!r}")
+    if not (isinstance(asset_currency, dict)
+            and all(isinstance(c, str) for c in asset_currency.values())):
+        raise ConfigError("config key 'asset_currency' must map asset names to currency "
+                          f"codes, got {asset_currency!r}")
+    return adjust_returns(harness.load_panel(str(path), asset_currency, base))
 
 
 def _load_instance(cfg: dict, cfg_dir: Path, mu=None, kc=None, kg=None) -> model.Instance:
@@ -123,9 +129,8 @@ def _read_scenario_csv(path: Path) -> ScenarioSet:
 
 def _solution_from_dict(inst: model.Instance, doc, path: Path) -> model.Solution:
     """First-stage decisions, each field holding the instance's count of numbers."""
-    counts = (inst.n_assets,) * 4 + (inst.n_forwards,) * 4 + (inst.n_currencies,)
     fields = {}
-    for key, n in zip(model.STAGE_FIELDS, counts):
+    for key, n in zip(model.STAGE_FIELDS, model.stage_sizes(inst)):
         try:
             fields[key] = np.asarray(doc[key], dtype=float)
         except (KeyError, TypeError, ValueError):

@@ -65,11 +65,11 @@ class ChromosomeLayout:
 def _stage_bounds(inst: Instance):
     """Per-gene (lower, upper, binary flag) for one stage block: trade caps
     on b and s, 1 on the x, y and z flags."""
-    na, nf, nc = inst.n_assets, inst.n_forwards, inst.n_currencies
     cap_a = 2.0 * inst.w0 / np.maximum(inst.p0_asset, 1e-12)
     cap_f = 2.0 * inst.w0 / np.maximum(inst.p0_forward, 1e-12)
-    upper = np.concatenate([cap_a, cap_a, np.ones(2 * na), cap_f, cap_f, np.ones(2 * nf + nc)])
-    binary = np.repeat([False, True, False, True], [2 * na, 2 * na, 2 * nf, 2 * nf + nc])
+    binary = np.repeat([False, False, True, True] * 2 + [True], model.stage_sizes(inst))
+    upper = np.ones(binary.size)
+    upper[~binary] = np.concatenate([cap_a, cap_a, cap_f, cap_f])
     return np.zeros_like(upper), upper, binary
 
 
@@ -83,12 +83,11 @@ def build_layout(inst: Instance, n_scenarios: int, recourse_mode: str) -> Chromo
 
 def _split_stage(inst: Instance, genes: np.ndarray):
     """The stage's nine gene blocks, split along the first axis."""
-    na, nf = inst.n_assets, inst.n_forwards
-    return np.split(genes, np.cumsum([na, na, na, na, nf, nf, nf, nf]))
+    return np.split(genes, np.cumsum(model.stage_sizes(inst)[:-1]))
 
 
 def stage_length(inst: Instance) -> int:
-    return 4 * inst.n_assets + 4 * inst.n_forwards + inst.n_currencies
+    return sum(model.stage_sizes(inst))
 
 
 def _decode_stage(inst: Instance, genes: np.ndarray) -> dict[str, np.ndarray]:
@@ -192,17 +191,14 @@ def _initial_population(layout: ChromosomeLayout, config: GAConfig,
     """Random-weighted portfolios: buys split the initial cash across
     assets; binaries fair coin flips; recourse trades start at zero."""
     inst = layout.instance
-    sl = stage_length(inst)
-    na, nf, nc = inst.n_assets, inst.n_forwards, inst.n_currencies
-    # Row p holds individual p's weight draws, then its flag draws.
-    draws = rng.random((config.population, na + 2 * na + 2 * nf + nc))
+    na = inst.n_assets
+    flags = np.flatnonzero(layout.is_binary[:stage_length(inst)])
+    # Row p holds individual p's weight draws, then its first-stage flag draws.
+    draws = rng.random((config.population, na + flags.size))
     w = draws[:, :na]
-    flags = draws[:, na:] < 0.5
     pop = np.zeros((config.population, layout.length))
     pop[:, 0:na] = w / w.sum(axis=1, keepdims=True) * inst.h0 / inst.p0_asset  # b_asset
-    pop[:, 2 * na:4 * na] = flags[:, : 2 * na]                                 # x/y asset
-    pop[:, 4 * na + 2 * nf : 4 * na + 4 * nf] = flags[:, 2 * na : 2 * na + 2 * nf]
-    pop[:, sl - nc : sl] = flags[:, 2 * na + 2 * nf :]                         # z
+    pop[:, flags] = draws[:, na:] < 0.5
     return np.clip(pop, layout.lower, layout.upper)
 
 

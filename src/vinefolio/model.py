@@ -85,6 +85,9 @@ class Instance:
             raise InvalidParameter(f"margin rate must be in [0,1], got {self.margin_rate}")
         if not 0.0 <= self.v_u <= 1.0:
             raise InvalidParameter(f"overlay limit must be in [0,1], got {self.v_u}")
+        for key in ("mu", "w0", "h0"):
+            if not np.isfinite(getattr(self, key)):
+                raise InvalidParameter(f"{key} must be finite, got {getattr(self, key)}")
         if self.w0 <= 0.0:
             raise InvalidParameter("initial wealth must be positive")
         if np.any(self.a_min > self.a_max) or np.any(self.c_min > self.c_max):
@@ -256,6 +259,11 @@ STAGE_FIELDS = ("b_asset", "s_asset", "x_asset", "y_asset",
                 "b_fwd", "s_fwd", "x_fwd", "y_fwd", "z")
 
 
+def stage_sizes(inst: Instance) -> tuple[int, ...]:
+    """The length of each STAGE_FIELDS field: assets, forwards, currencies."""
+    return (inst.n_assets,) * 4 + (inst.n_forwards,) * 4 + (inst.n_currencies,)
+
+
 @dataclass(frozen=True)
 class Solution:
     """First-stage and optional per-scenario recourse decisions.
@@ -293,14 +301,7 @@ class Solution:
 
 
 def zero_solution(inst: Instance) -> Solution:
-    na, nf, nc = inst.n_assets, inst.n_forwards, inst.n_currencies
-    return Solution(
-        b_asset=np.zeros(na), s_asset=np.zeros(na),
-        x_asset=np.zeros(na), y_asset=np.zeros(na),
-        b_fwd=np.zeros(nf), s_fwd=np.zeros(nf),
-        x_fwd=np.zeros(nf), y_fwd=np.zeros(nf),
-        z=np.zeros(nc),
-    )
+    return Solution(**{f: np.zeros(k) for f, k in zip(STAGE_FIELDS, stage_sizes(inst))})
 
 
 # ---------------------------------------------------------------------------

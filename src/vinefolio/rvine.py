@@ -130,6 +130,16 @@ def _mst_max(num_nodes: int, taus: dict[tuple[int, int], float]) -> list[tuple[i
     return chosen
 
 
+def _pair(node_a, node_b):
+    """(var_a, var_b, conditioning set, u_a, u_b) of the edge joining two
+    tree nodes (variable set, {conditioned var: pseudo-obs})."""
+    (set_a, obs_a), (set_b, obs_b) = node_a, node_b
+    cond = set_a & set_b
+    (var_a,) = set_a - cond
+    (var_b,) = set_b - cond
+    return var_a, var_b, cond, obs_a[var_a], obs_b[var_b]
+
+
 def _fit_edge(u_a, u_b, tau: float, candidates, m: int) -> FittedBicop:
     if abs(tau) < bicop.tau_independence_threshold(m):
         return FittedBicop(CopulaFamily.INDEPENDENCE, loglik=0.0, n_obs=m)
@@ -173,12 +183,7 @@ def select_and_fit(u_panel: dict[str, np.ndarray] | np.ndarray,
     for tree in range(1, n):
         new_nodes: list[tuple[frozenset[int], dict[int, np.ndarray]]] = []
         for a_idx, b_idx in prev_edges:
-            set_a, obs_a = prev_nodes[a_idx]
-            set_b, obs_b = prev_nodes[b_idx]
-            cond = set_a & set_b
-            (var_a,) = set_a - cond
-            (var_b,) = set_b - cond
-            u_a, u_b = obs_a[var_a], obs_b[var_b]
+            var_a, var_b, cond, u_a, u_b = _pair(prev_nodes[a_idx], prev_nodes[b_idx])
             try:
                 fitted = _fit_edge(u_a, u_b, taus[(a_idx, b_idx)], candidates, m)
             except FitFailure as exc:
@@ -188,7 +193,7 @@ def select_and_fit(u_panel: dict[str, np.ndarray] | np.ndarray,
             all_edges.append(_Edge(var_a, var_b, frozenset(cond), fitted))
             # Pseudo-observations for the next tree.
             new_nodes.append((
-                set_a | set_b,
+                cond | {var_a, var_b},
                 {
                     var_a: np.asarray(bicop.h_func(fitted, u_a, u_b)),
                     var_b: np.asarray(bicop.h_func_cond_first(fitted, u_a, u_b)),
@@ -198,16 +203,12 @@ def select_and_fit(u_panel: dict[str, np.ndarray] | np.ndarray,
             break
         # MST over proximity-allowed pairs of the new nodes.
         taus = {}
-        for a_idx in range(len(new_nodes)):
+        for a_idx, node_a in enumerate(new_nodes):
             for b_idx in range(a_idx + 1, len(new_nodes)):
-                set_a, obs_a = new_nodes[a_idx]
-                set_b, obs_b = new_nodes[b_idx]
-                if len(set_a & set_b) != len(set_a) - 1:
-                    continue
-                cond = set_a & set_b
-                (var_a,) = set_a - cond
-                (var_b,) = set_b - cond
-                taus[(a_idx, b_idx)] = bicop.empirical_tau(obs_a[var_a], obs_b[var_b])
+                # Proximity: the two node sets share all but one variable.
+                if len(node_a[0] & new_nodes[b_idx][0]) == len(node_a[0]) - 1:
+                    _, _, _, u_a, u_b = _pair(node_a, new_nodes[b_idx])
+                    taus[(a_idx, b_idx)] = bicop.empirical_tau(u_a, u_b)
         prev_edges = _mst_max(len(new_nodes), taus)
         prev_nodes = new_nodes
 
@@ -277,11 +278,6 @@ def _edges_to_spec(n: int, edges: list[_Edge]) -> RVineSpec:
 # ---------------------------------------------------------------------------
 
 
-def _column_order(spec: RVineSpec) -> list[int]:
-    """Columns processed right-to-left so lookups are always available."""
-    return list(range(spec.dimension - 1, -1, -1))
-
-
 def log_density(spec: RVineSpec, u) -> np.ndarray | float:
     """Log copula density at u (marginal densities excluded).
 
@@ -294,14 +290,12 @@ def log_density(spec: RVineSpec, u) -> np.ndarray | float:
     cache: dict[tuple[int, frozenset[int]], np.ndarray] = {
         (v, frozenset()): arr[:, v - 1] for v in range(1, n + 1)
     }
-    for j in _column_order(spec):
-        if j == n - 1:
-            continue
+    # Columns right to left, so that every lookup is already cached.
+    for j in range(n - 2, -1, -1):
         d = int(spec.structure[j, j])
         cur = cache[(d, frozenset())]
         for i in range(n - 1, j, -1):
-            other = int(spec.structure[i, j])
-            cond = frozenset(int(x) for x in spec.structure[i + 1 :, j])
+            _, other, cond = spec.cell_edge(i, j)
             v = cache[(other, cond)]
             cop = spec.copulas[(i, j)]
             out += np.log(np.maximum(bicop.density(cop, cur, v), 1e-300))
@@ -321,15 +315,14 @@ def sample(spec: RVineSpec, N: int, seed: int) -> np.ndarray:
     w = rng.random((N, n))
     out = np.empty((N, n))
     cache: dict[tuple[int, frozenset[int]], np.ndarray] = {}
-    for j in _column_order(spec):
+    for j in range(n - 1, -1, -1):  # right to left, as in `log_density`
         d = int(spec.structure[j, j])
         cur = w[:, d - 1]
         # Peel inverse h-functions from the deepest tree down to tree 1;
         # the intermediate values are exactly the conditional CDFs of d.
         levels = []
         for i in range(j + 1, n):
-            other = int(spec.structure[i, j])
-            cond = frozenset(int(x) for x in spec.structure[i + 1 :, j])
+            _, other, cond = spec.cell_edge(i, j)
             v = cache[(other, cond)]
             cop = spec.copulas[(i, j)]
             levels.append((cop, other, cond, v, cur))

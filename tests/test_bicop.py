@@ -93,16 +93,33 @@ def test_uniform_margins():
         assert np.trapezoid(d, g) == pytest.approx(1.0, abs=1e-2)
 
 
+# Rotated family, its base family and parameter, and whether the rotation
+# reflects the first and the second argument (x -> 1 - x).
+ROTATIONS = [
+    (F.CLAYTON_90, F.CLAYTON, 2.0, True, False),
+    (F.CLAYTON_180, F.CLAYTON, 2.0, True, True),
+    (F.CLAYTON_270, F.CLAYTON, 2.0, False, True),
+    (F.GUMBEL_90, F.GUMBEL, 2.5, True, False),
+    (F.GUMBEL_180, F.GUMBEL, 2.5, True, True),
+    (F.GUMBEL_270, F.GUMBEL, 2.5, False, True),
+]
+
+
 def test_rotation_density_consistency():
+    """Each rotation's density, h and inverse h are its base family's at
+    reflected arguments, bit for bit; h and its inverse reflect back when
+    the first argument is reflected. The 90 and 270 rotations carry the
+    negated parameter."""
     rng = np.random.default_rng(3)
     u, v = rng.random(100) * 0.9 + 0.05, rng.random(100) * 0.9 + 0.05
-    base = _cop(F.CLAYTON, 2.0, None)
-    d180 = np.asarray(bicop.density(_cop(F.CLAYTON_180, 2.0, None), u, v))
-    assert np.allclose(d180, np.asarray(bicop.density(base, 1 - u, 1 - v)), atol=1e-12)
-    d90 = np.asarray(bicop.density(_cop(F.CLAYTON_90, -2.0, None), u, v))
-    assert np.allclose(d90, np.asarray(bicop.density(base, 1 - u, v)), atol=1e-12)
-    d270 = np.asarray(bicop.density(_cop(F.CLAYTON_270, -2.0, None), u, v))
-    assert np.allclose(d270, np.asarray(bicop.density(base, u, 1 - v)), atol=1e-12)
+    for fam, base_fam, th, flip_u, flip_v in ROTATIONS:
+        rot = _cop(fam, th if flip_u == flip_v else -th, None)
+        base = _cop(base_fam, th, None)
+        ub, vb = (1 - u if flip_u else u), (1 - v if flip_v else v)
+        back = (lambda x: 1 - x) if flip_u else (lambda x: x)
+        assert np.array_equal(bicop.density(rot, u, v), bicop.density(base, ub, vb)), fam
+        assert np.array_equal(bicop.h_func(rot, u, v), back(bicop.h_func(base, ub, vb))), fam
+        assert np.array_equal(bicop.inv_h(rot, u, v), back(bicop.inv_h(base, ub, vb))), fam
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +281,28 @@ def test_empirical_tau_length_mismatch():
 # ---------------------------------------------------------------------------
 # fitting and selection
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fam", [f for f in F if f is not F.INDEPENDENCE],
+                         ids=lambda f: f.value)
+def test_family_facts_agree(fam):
+    """A family's fitting bounds lie in its parameter range, its tau
+    inversion lands within them with the sign of tau for each sign the
+    family models, and exchanging the arguments twice gives it back."""
+    lo, hi = bicop._bounds(fam)
+    th2 = 5.0 if fam is F.STUDENT_T else None
+    assert bicop.theta_in_range(fam, lo) and bicop.theta_in_range(fam, hi)
+    signs = {np.sign(bicop.model_tau(_cop(fam, th, th2))) for th in (lo, hi)} - {0.0}
+    assert signs
+    for sign in signs:
+        start = bicop._tau_inversion_start(fam, 0.4 * sign)
+        assert lo <= start <= hi
+        assert np.sign(bicop.model_tau(_cop(fam, start, th2))) == sign
+        c = _cop(fam, start, th2)
+        assert bicop.swap_args(bicop.swap_args(c)) == c
+        u, v = np.linspace(0.05, 0.95, 19), np.linspace(0.9, 0.1, 19)
+        swapped = np.asarray(bicop.density(bicop.swap_args(c), v, u))
+        assert np.allclose(swapped, np.asarray(bicop.density(c, u, v)), rtol=1e-12, atol=0.0)
 
 
 def test_fit_clayton_recovers_parameter():

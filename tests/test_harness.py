@@ -498,10 +498,19 @@ def _solution(**first_stage):
     (["optimize"], _inputs({"scen.csv": SCENARIO_HEADER + "0,0.01,0.02,0.0,0.0\n",
                             "scen.json": "{oops"}, scenarios="scen.csv"),
      "scen.json is not valid JSON: Expecting property name"),
+    (["frontier"], _inputs(mu_grid=[float("nan")]), "mu must be finite, got nan"),
+    (["optimize", "--mu", "nan"], _inputs(), "mu must be finite, got nan"),
+    (["stability"], _inputs(mu_grid=[float("nan")]), "mu must be finite, got nan"),
+    (["gen-scenarios"], _inputs(asset_currency=5),
+     "config key 'asset_currency' must map asset names to currency codes, got 5"),
+    (["gen-scenarios"], _inputs(base=5), "config key 'base' must be a currency code, got 5"),
+    (["gen-scenarios"], _inputs(asset_currency={"EQ_US": 3, "EQ_UK": "GBP"}),
+     "config key 'asset_currency' must map asset names to currency codes"),
 ], ids=["mu-grid-item", "mu-grid-not-list", "sizes-item", "seeds-not-list", "size-0",
         "gen-scenarios-n-0", "optimize-n-0", "instance-not-json", "instance-no-params",
         "instance-price", "solution-not-json", "solution-no-field", "solution-short",
-        "sidecar-not-json"])
+        "sidecar-not-json", "frontier-mu-nan", "optimize-mu-nan", "stability-mu-nan",
+        "asset-currency-not-object", "base-not-string", "asset-currency-value"])
 def test_cli_bad_input_exits_1(tmp_path, args, edit, message):
     ws = _cli_workspace(tmp_path)
     cfg = json.loads((ws / "config.json").read_text())

@@ -111,6 +111,12 @@ def test_instance_validation():
     for limits in ({"k_c": -1}, {"k_g": -1}):
         with pytest.raises(InvalidParameter, match="k_c and k_g must be >= 0"):
             _make_instance(**limits)
+    for key in ("mu", "w0", "h0"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidParameter, match=f"{key} must be finite"):
+                _make_instance(**{key: value})
+    with pytest.raises(InvalidParameter, match="mu must be finite"):
+        with_return_target(_make_instance(), float("nan"))
 
 
 def test_with_return_target():

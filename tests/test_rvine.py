@@ -269,6 +269,18 @@ def test_json_keeps_edge_diagnostics(fitted_3d):
 # ---------------------------------------------------------------------------
 
 
+def _mixed_sign_panel(m=400, seed=1):
+    """Chain 1-2 Clayton(3), 2-3 Gumbel-90(-2), 3-4 Frank(-6), 4-5
+    Gumbel-180(2.5): tree 1 has edges of both signs."""
+    rng = np.random.default_rng(seed)
+    u2 = rng.random(m)
+    u1 = bicop.inv_h(FittedBicop(F.CLAYTON, 3.0), rng.random(m), u2)
+    u3 = bicop.inv_h(FittedBicop(F.GUMBEL_90, -2.0), rng.random(m), u2)
+    u4 = bicop.inv_h(FittedBicop(F.FRANK, -6.0), rng.random(m), u3)
+    u5 = bicop.inv_h(FittedBicop(F.GUMBEL_180, 2.5), rng.random(m), u4)
+    return np.column_stack([u1, u2, u3, u4, u5])
+
+
 def _gumbel_t_gauss_panel(m=400, seed=0):
     """Chain 1-2 Gumbel(2), 2-3 Student t(0.6, 4), 3-4 Gaussian(-0.6); the
     fit keeps one tree-1 edge of each family."""
@@ -286,17 +298,33 @@ def _gumbel_t_gauss_panel(m=400, seed=0):
 # df 7.968 to rho 0.6551, df 8.197 (AIC +0.161), and so did the draws.
 GOLDEN_SPEC_SHA256 = "7c79ed48f4c26f82d5929ba029c1298e837341054d927aec8e6877f680896a8c"
 GOLDEN_SAMPLE_SHA256 = "9ca2b07cd3ad1682878cd6b14142385531d5c4be9f1444059e6fb33fa3cdbcdc"
+# The same of the mixed-sign panel, whose fit selects rotated families.
+GOLDEN_ROTATED_SPEC_SHA256 = "80129524883b7a88cd75927f051645b14eed1ebc82d30096fd376fcb7efb0f77"
+GOLDEN_ROTATED_SAMPLE_SHA256 = "844f8f9e8c6cacbfa6dfa521352e8328a29c302b881fdf5c2f39366b24f8e071"
+
+
+def _check_golden(data, tree1_families, spec_sha256, sample_sha256):
+    spec = rvine.select_and_fit(data, ALL_FAMILIES)
+    tree1 = {frozenset(p): c.family for t, p, _, c in spec.edges() if t == 1}
+    assert tree1 == tree1_families
+    text = rvine.to_json(spec)
+    assert hashlib.sha256(text.encode()).hexdigest() == spec_sha256
+    draws = rvine.sample(spec, 1000, 11)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == sample_sha256
 
 
 def test_golden_fit_and_sample():
-    spec = rvine.select_and_fit(_gumbel_t_gauss_panel(), ALL_FAMILIES)
-    tree1 = {frozenset(p): c.family for t, p, _, c in spec.edges() if t == 1}
-    assert tree1 == {frozenset({1, 2}): F.GUMBEL, frozenset({2, 3}): F.STUDENT_T,
-                     frozenset({3, 4}): F.GAUSSIAN}
-    text = rvine.to_json(spec)
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SPEC_SHA256
-    draws = rvine.sample(spec, 1000, 11)
-    assert hashlib.sha256(draws.tobytes()).hexdigest() == GOLDEN_SAMPLE_SHA256
+    _check_golden(_gumbel_t_gauss_panel(),
+                  {frozenset({1, 2}): F.GUMBEL, frozenset({2, 3}): F.STUDENT_T,
+                   frozenset({3, 4}): F.GAUSSIAN},
+                  GOLDEN_SPEC_SHA256, GOLDEN_SAMPLE_SHA256)
+
+
+def test_golden_fit_and_sample_rotated():
+    _check_golden(_mixed_sign_panel(),
+                  {frozenset({1, 2}): F.CLAYTON, frozenset({2, 3}): F.GUMBEL_90,
+                   frozenset({3, 4}): F.FRANK, frozenset({4, 5}): F.GUMBEL_180},
+                  GOLDEN_ROTATED_SPEC_SHA256, GOLDEN_ROTATED_SAMPLE_SHA256)
 
 
 @pytest.mark.parametrize("panel", ["gumbel_t_gauss", "simulated_3d", "independent"])
@@ -328,18 +356,6 @@ def test_one_tau_per_candidate_pair(panel, monkeypatch):
 # ---------------------------------------------------------------------------
 # candidate families matched to the sign of each edge's tau
 # ---------------------------------------------------------------------------
-
-
-def _mixed_sign_panel(m=400, seed=1):
-    """Chain 1-2 Clayton(3), 2-3 Gumbel-90(-2), 3-4 Frank(-6), 4-5
-    Gumbel-180(2.5): tree 1 has edges of both signs."""
-    rng = np.random.default_rng(seed)
-    u2 = rng.random(m)
-    u1 = bicop.inv_h(FittedBicop(F.CLAYTON, 3.0), rng.random(m), u2)
-    u3 = bicop.inv_h(FittedBicop(F.GUMBEL_90, -2.0), rng.random(m), u2)
-    u4 = bicop.inv_h(FittedBicop(F.FRANK, -6.0), rng.random(m), u3)
-    u5 = bicop.inv_h(FittedBicop(F.GUMBEL_180, 2.5), rng.random(m), u4)
-    return np.column_stack([u1, u2, u3, u4, u5])
 
 
 def test_fits_only_families_of_the_edge_sign(monkeypatch):
