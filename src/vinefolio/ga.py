@@ -202,15 +202,21 @@ def _initial_population(layout: ChromosomeLayout, config: GAConfig,
     return np.clip(pop, layout.lower, layout.upper)
 
 
-# Rows per pass of fully decoded rows (every row in no-recourse mode, the
-# live rows in full mode) are capped so that a pass's P_c x L genes stay
-# under this many elements. In full recourse mode L is the stage length
-# times N + 1. Chosen by timing whole `recourse` GA runs while every row
-# was decoded in full (P = 40, N = 200, L = 5226; 2-core x86, BLAS on one
-# thread): a generation took 5.0 ms at 2^17 (25 rows a pass), against
-# 6.5 ms at 2^16 and 6.9-7.1 ms at 2^18 and 2^19 (the whole population in
-# one pass).
-_CHUNK_ELEMENTS = 1 << 17
+# Fully decoded rows (every row in no-recourse mode, the live rows in full
+# mode) are scored in equal passes of at least three rows, so that no pass
+# is one row, whose BLAS products round differently. A pass stays under an
+# element budget: rows x L genes in full mode, L being the stage length
+# times N + 1, and rows x N in no-recourse mode, whose second stage works
+# on (rows, N) planes. Each budget was the fastest timed (2-core x86, BLAS
+# on one thread); one budget does not fit both modes.
+# - Full, every row decoded (P = 40, N = 200, L = 5226), ms per call:
+#   2^15 5.7, 2^16 4.0-4.5, 2^17 3.1-3.3, 2^18 3.7-4.1, 2^19 3.7-4.2.
+# - No-recourse, GA seconds per `frontier` | `stability` benchmark pass
+#   (P = 40, N = 1000 | P = 24, N = 500-2000): the whole population in one
+#   pass 0.331 | 0.092, 2^14 0.207 | 0.066, 2^15 0.201 | 0.058, 2^16
+#   0.261 | 0.056. A `frontier` pass took 5 400 minor page faults at 2^14
+#   and 2^15, 59 000 at 2^16 and 77 000 in one pass.
+_CHUNK_ELEMENTS, _HOLD_ELEMENTS = 1 << 17, 1 << 15
 
 
 def _population_fitness(layout: ChromosomeLayout, pop: np.ndarray,
@@ -223,7 +229,7 @@ def _population_fitness(layout: ChromosomeLayout, pop: np.ndarray,
     they are scored in one pass from their first-stage genes alone, with
     (1, 1, k) zero recourse fields that broadcast against the pass's rows
     and scenarios. Live rows, and every row in no-recourse mode, are
-    decoded in full, a chunk of rows per pass.
+    decoded in full, in equal passes under the mode's element budget.
     """
     inst = layout.instance
     sl = stage_length(inst)
@@ -237,10 +243,13 @@ def _population_fitness(layout: ChromosomeLayout, pop: np.ndarray,
                                                 scen, p_asset, p_fwd)
         pop = pop[dense]          # live rows are copied only in a mixed pass
     at = np.flatnonzero(dense)
-    rows = max(1, _CHUNK_ELEMENTS // layout.length)
-    for i in range(0, len(pop), rows):
-        fits[at[i:i + rows]] = model.population_fitness(
-            inst, decode(layout, pop[i:i + rows]), scen, p_asset, p_fwd)
+    width, budget = ((layout.length, _CHUNK_ELEMENTS) if layout.recourse_mode == "full"
+                     else (layout.n_scenarios, _HOLD_ELEMENTS))
+    passes = -(-len(pop) // max(3, budget // width))
+    for k in range(passes):
+        i, j = len(pop) * k // passes, len(pop) * (k + 1) // passes
+        fits[at[i:j]] = model.population_fitness(
+            inst, decode(layout, pop[i:j]), scen, p_asset, p_fwd)
     return fits, int(live.sum())
 
 

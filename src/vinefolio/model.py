@@ -79,15 +79,17 @@ class Instance:
     p0_forward: np.ndarray
 
     def __post_init__(self):
+        open_side = {"a_max": np.inf, "c_min": -np.inf, "c_max": np.inf}  # unbounded sides
+        for key, value in vars(self).items():
+            v = 0.0 if isinstance(value, (str, tuple)) else np.asarray(value, dtype=float)
+            if np.any(bad := ~np.isfinite(v) & (v != open_side.get(key, 0.0))):
+                raise InvalidParameter(f"{key} must be finite, got {np.extract(bad, v)[0]}")
         if not 0.0 < self.beta < 1.0:
             raise InvalidParameter(f"beta must be in (0,1), got {self.beta}")
         if not 0.0 <= self.margin_rate <= 1.0:
             raise InvalidParameter(f"margin rate must be in [0,1], got {self.margin_rate}")
         if not 0.0 <= self.v_u <= 1.0:
             raise InvalidParameter(f"overlay limit must be in [0,1], got {self.v_u}")
-        for key in ("mu", "w0", "h0"):
-            if not np.isfinite(getattr(self, key)):
-                raise InvalidParameter(f"{key} must be finite, got {getattr(self, key)}")
         if self.w0 <= 0.0:
             raise InvalidParameter("initial wealth must be positive")
         if np.any(self.a_min > self.a_max) or np.any(self.c_min > self.c_max):
@@ -245,7 +247,10 @@ def save_instance(inst: Instance, path: str) -> None:
 
 
 def with_return_target(inst: Instance, mu: float) -> Instance:
-    return replace(inst, mu=float(mu))
+    """`inst` at target mu, sharing its cache of shaped columns."""
+    target = replace(inst, mu=float(mu))
+    target.__dict__["_columns"] = inst.__dict__.setdefault("_columns", {})
+    return target
 
 
 # ---------------------------------------------------------------------------
@@ -390,25 +395,29 @@ def _by_currency(matrix_t: np.ndarray, planes: np.ndarray) -> np.ndarray:
     return (matrix_t @ planes.reshape(len(planes), -1)).reshape(shape)
 
 
-def _exposure(inst: Instance, asset_ccy_value, overlay_cols, margin) -> np.ndarray:
-    """Per-currency exposure; margin cash is held in the base currency."""
-    c = asset_ccy_value + overlay_cols
-    c[inst.base_index] += margin
-    return c
-
-
-def _overlay_excess(inst: Instance, overlay_cols, c):
-    """Overlay size beyond v_u times total exposure, per unit of W0."""
-    total = 0.5 * np.abs(overlay_cols).sum(0)
-    return np.maximum(0.0, total - inst.v_u * c.sum(0)) / inst.w0
-
-
-def _exposure_excess(inst: Instance, z, c):
-    per_ccy = (-1,) + (1,) * (c.ndim - 1)
-    # The floor applies only to flagged currencies (avoids -inf * 0).
-    floor = np.where(z > 0.5, inst.c_min.reshape(per_ccy), -np.inf)
-    return (np.maximum(0.0, floor - c).sum(0)
-            + np.maximum(0.0, c - inst.c_max.reshape(per_ccy)).sum(0)) / inst.w0
+def _exposure_residuals(inst: Instance, planes, z, margin, out=None):
+    """The total_overlay and currency_exposure residuals from each
+    currency's (asset value, overlay) planes in turn, z[j] its flag; its
+    exposure, with the margin cash held in the base currency, goes into
+    out[j] when given. An infinite floor or cap adds exactly 0, so it is
+    skipped. The running sums add the planes in currency order, as
+    .sum(0) over a contiguous (C, ...) array does."""
+    gross = net = floor = cap = 0.0
+    for j, (value, overlay) in enumerate(planes):
+        c = value + overlay
+        if j == inst.base_index:
+            c += margin
+        if out is not None:
+            out[j] = c
+        gross += np.abs(overlay)
+        net += c
+        if inst.c_min[j] > -np.inf:    # the floor binds only flagged currencies
+            floor += np.maximum(0.0, np.where(z[j] > 0.5, inst.c_min[j], -np.inf) - c)
+        if inst.c_max[j] < np.inf:
+            cap += np.maximum(0.0, c - inst.c_max[j])
+        del value, overlay, c          # before the next currency's planes exist
+    return (np.maximum(0.0, 0.5 * gross - inst.v_u * net) / inst.w0,
+            np.broadcast_to((floor + cap) / inst.w0, net.shape))
 
 
 def _group(inst: Instance, g: str, decisions, price, held, col):
@@ -448,19 +457,20 @@ def _trade(inst: Instance, decisions, p_asset, p_fwd, cash, a_held, q_held):
     net_cash = cash + asset_flow + fwd_flow
     free_cash = np.maximum(0.0, net_cash)
 
-    overlay_cols = _by_currency(col["sign_t"], q_value)
     margin = inst.margin_rate * (np.abs(q) * p_fwd).sum(0)
-    c = _exposure(inst, _by_currency(col["onehot_t"], asset_value), overlay_cols, margin)
+    c = _by_currency(col["onehot_t"], asset_value)
+    total_overlay, currency_exposure = _exposure_residuals(
+        inst, zip(c, _by_currency(col["sign_t"], q_value)), z, margin, out=c)
     wealth = asset_value.sum(0) + q_value.sum(0) + margin + free_cash
 
     res = {
         "cash_balance": np.maximum(0.0, -net_cash) / inst.w0,
-        "total_overlay": _overlay_excess(inst, overlay_cols, c),
+        "total_overlay": total_overlay,
         "buy_or_sell_asset": np.maximum(0.0, asset_traded - 1.0).sum(0),
         "buy_or_sell_forward": np.maximum(0.0, fwd_traded - 1.0).sum(0),
         "trade_size_asset": asset_size / inst.w0,
         "trade_size_forward": fwd_size / inst.w0,
-        "currency_exposure": _exposure_excess(inst, z, c),
+        "currency_exposure": currency_exposure,
         # Country activity: z_j demands at least one trade touching currency j.
         "country_activity": np.maximum(
             0.0, z - _by_currency(col["onehot_t"], asset_traded)).sum(0),
@@ -505,20 +515,16 @@ def _hold(inst: Instance, sol: Solution, first: FirstStageReport,
     shape = np.shape(first.free_cash) + (p_asset.shape[0],)
     col = _columns(inst, np.ndim(sol.z) - 1)
     margin = inst.margin_rate * (np.abs(first.q) @ p_fwd.T)
-    # (C, ...batch, A) position matrices times prices give (C, ...batch, N).
-    fwd_ccy = np.moveaxis(first.q[..., None, :] * col["sign_t"], -2, 0)
-    asset_ccy = np.moveaxis(first.a[..., None, :] * col["onehot_t"], -2, 0)
-    overlay_cols = fwd_ccy @ p_fwd.T
-    c = _exposure(inst, asset_ccy @ p_asset.T, overlay_cols, margin)
-    wealth = (first.a @ p_asset.T + first.q @ p_fwd.T + margin
-              + first.free_cash[..., None])
-
+    # One currency's (...batch, N) asset value and overlay at a time.
+    planes = (((first.a * onehot) @ p_asset.T, (first.q * sign) @ p_fwd.T)
+              for onehot, sign in zip(col["onehot_t"], col["sign_t"]))
     res = dict.fromkeys(first.residuals, np.broadcast_to(0.0, shape))
-    for key, vec in (("total_overlay", _overlay_excess(inst, overlay_cols, c)),
-                     ("currency_exposure", _exposure_excess(
-                         inst, np.moveaxis(sol.z, -1, 0)[..., None], c))):
+    for key, vec in zip(("total_overlay", "currency_exposure"), _exposure_residuals(
+            inst, planes, _last_first(sol.z)[..., None], margin)):
         if vec.any():
             res[key] = vec
+    wealth = (first.a @ p_asset.T + first.q @ p_fwd.T + margin
+              + first.free_cash[..., None])
     res["currency_cardinality"] = np.broadcast_to(
         first.residuals["currency_cardinality"][..., None], shape)
     return RecourseReport(

@@ -54,6 +54,40 @@ def _tiny_instance(mu=0.0, **overrides):
     return Instance(**kwargs)
 
 
+def _four_currency_instance(mu=0.002):
+    """Five assets in four currencies and three forwards, with a currency
+    floor on GBP and JPY, a cap on GBP and EUR, and an overlay limit v_u
+    that random portfolios break."""
+    na, nf = 5, 3
+    return Instance(
+        assets=("A_USD", "A_GBP", "A_EUR", "A_JPY", "B_USD"),
+        asset_currency=("USD", "GBP", "EUR", "JPY", "USD"),
+        currencies=("USD", "GBP", "EUR", "JPY"), base="USD",
+        forward_pairs=((1, 0), (2, 0), (3, 1)),
+        mu=mu, beta=0.9,
+        a_min=np.zeros(na), a_max=np.full(na, np.inf),
+        c_min=np.array([-np.inf, 5.0, -np.inf, 2.0]),
+        c_max=np.array([np.inf, 40.0, 30.0, np.inf]),
+        t_min_asset=np.zeros(na), t_min_forward=np.zeros(nf),
+        v_u=0.1, k_c=4, k_g=3, margin_rate=0.05, big_b=1e4,
+        h0=100.0, a0=np.zeros(na), q0=np.zeros(nf), w0=100.0,
+        fixed_buy_asset=np.zeros(na), fixed_sell_asset=np.zeros(na),
+        var_buy_asset=np.full(na, 0.001), var_sell_asset=np.full(na, 0.001),
+        fixed_buy_forward=np.zeros(nf), fixed_sell_forward=np.zeros(nf),
+        var_buy_forward=np.full(nf, 0.001), var_sell_forward=np.full(nf, 0.001),
+        p0_asset=np.array([10.0, 20.0, 15.0, 8.0, 12.0]),
+        p0_forward=np.array([5.0, 4.0, 6.0]),
+    )
+
+
+def _scenarios_for(inst, n, seed):
+    """Normal returns over every asset and currency column of `inst`."""
+    columns = (*inst.assets, *inst.currencies)
+    rng = np.random.default_rng(seed)
+    return ScenarioSet(columns, rng.normal(0.004, 0.03, (n, len(columns))),
+                       np.full(n, 1.0 / n))
+
+
 def _market_scenarios(n, seed):
     """Scenarios over the acceptance market's columns."""
     rng = np.random.default_rng(seed)
@@ -391,6 +425,32 @@ def test_full_mode_chunks_match_individual_evaluation():
     batched, _ = ga._population_fitness(layout, pop, scen, p_asset, p_fwd)
     np.testing.assert_allclose(batched, _one_by_one(layout, pop, scen),
                                rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [500, 1000, 2000])
+@pytest.mark.parametrize("P", [2, 3, 24, 40, 41, 150])
+def test_no_recourse_passes_match_one_whole_pass(monkeypatch, P, n):
+    # No-recourse rows go in equal passes under ga._HOLD_ELEMENTS, none of
+    # one row; every fitness equals the whole population scored in one
+    # pass, bit for bit.
+    inst = _market_instance(mu=0.003)
+    scen = _market_scenarios(n, P)
+    layout = build_layout(inst, n, "no-recourse-trades")
+    pop = _random_population(layout, P, np.random.default_rng(P + n))
+    p_asset, p_fwd = model.scenario_prices(inst, scen)
+    whole = model.population_fitness(inst, decode(layout, pop), scen, p_asset, p_fwd)
+    sizes = []
+    score = model.population_fitness
+
+    def counted(inst, sols, *args):
+        sizes.append(len(sols.z))
+        return score(inst, sols, *args)
+
+    monkeypatch.setattr(model, "population_fitness", counted)
+    fits, _ = ga._population_fitness(layout, pop, scen, p_asset, p_fwd)
+    assert np.array_equal(fits, whole)
+    assert sum(sizes) == P and min(sizes) >= 2 and max(sizes) - min(sizes) <= 1
+    assert len(sizes) == 1 or max(sizes) * n <= ga._HOLD_ELEMENTS
 
 
 def _idle(layout, genes):

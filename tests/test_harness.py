@@ -488,6 +488,14 @@ def _solution(**first_stage):
      "instance.json is missing key 'params'"),
     (["optimize"], _inputs(edit_instance=_set(("assets", 0, "price"), "x")),
      "instance.json: could not convert string to float: 'x'"),
+    (["optimize"], _inputs(edit_instance=_set(("assets", 0, "price"), float("nan"))),
+     "p0_asset must be finite, got nan"),
+    (["optimize"], _inputs(edit_instance=_set(("params", "big_b"), float("nan"))),
+     "big_b must be finite, got nan"),
+    (["optimize"], _inputs(edit_instance=_set(("assets", 1, "a0"), float("nan"))),
+     "a0 must be finite, got nan"),
+    (["optimize"], _inputs(edit_instance=_set(("currencies", 0, "c_max"), float("nan"))),
+     "c_max must be finite, got nan"),
     (["backtest"], _inputs({"sol.json": "{oops"}, **_BACKTEST),
      "sol.json is not valid JSON: Expecting property name"),
     (["backtest"], _inputs(_solution(**{k: v for k, v in _FIRST_STAGE.items()
@@ -508,7 +516,8 @@ def _solution(**first_stage):
      "config key 'asset_currency' must map asset names to currency codes"),
 ], ids=["mu-grid-item", "mu-grid-not-list", "sizes-item", "seeds-not-list", "size-0",
         "gen-scenarios-n-0", "optimize-n-0", "instance-not-json", "instance-no-params",
-        "instance-price", "solution-not-json", "solution-no-field", "solution-short",
+        "instance-price", "instance-nan-price", "instance-nan-big-b", "instance-nan-a0",
+        "instance-nan-c-max", "solution-not-json", "solution-no-field", "solution-short",
         "sidecar-not-json", "frontier-mu-nan", "optimize-mu-nan", "stability-mu-nan",
         "asset-currency-not-object", "base-not-string", "asset-currency-value"])
 def test_cli_bad_input_exits_1(tmp_path, args, edit, message):

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from vinefolio import model
+from vinefolio import ga, model
 from vinefolio.errors import EmptyScenarios, InvalidParameter, MissingColumn
 from vinefolio.model import (
     Instance, Solution, cvar_objective, evaluate, evaluate_first_stage,
@@ -12,7 +14,7 @@ from vinefolio.model import (
 from vinefolio.scenarios import ScenarioSet
 
 from test_acceptance import _market_instance
-from test_ga import _tiny_instance
+from test_ga import _four_currency_instance, _scenarios_for, _tiny_instance
 
 
 def _make_instance(**overrides):
@@ -115,6 +117,21 @@ def test_instance_validation():
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(InvalidParameter, match=f"{key} must be finite"):
                 _make_instance(**{key: value})
+    # Every number field, scalar or one entry of an array; a bound may be
+    # infinite on its open side only.
+    open_side = {"a_max": np.inf, "c_min": -np.inf, "c_max": np.inf}
+    inst = _make_instance()
+    for key, field_value in vars(inst).items():
+        if isinstance(field_value, (str, tuple)):
+            continue
+        for value in (np.nan, np.inf, -np.inf):
+            if isinstance(field_value, np.ndarray):
+                value = np.concatenate([[value], field_value[1:]])
+            if np.all(np.isfinite(value) | (value == open_side.get(key))):
+                _make_instance(**{key: value})
+                continue
+            with pytest.raises(InvalidParameter, match=f"{key} must be finite, got"):
+                _make_instance(**{key: value})
     with pytest.raises(InvalidParameter, match="mu must be finite"):
         with_return_target(_make_instance(), float("nan"))
 
@@ -123,6 +140,22 @@ def test_with_return_target():
     inst = _make_instance()
     assert with_return_target(inst, 0.03).mu == 0.03
     assert inst.mu == 0.0
+
+
+def test_derived_target_shares_column_cache():
+    # A target instance shares the shaped-column cache of the instance it
+    # is derived from, and evaluates as a freshly built one, bit for bit.
+    inst = _four_currency_instance()
+    scen = _scenarios_for(inst, 200, 3)
+    sols = _random_solutions(inst, np.random.default_rng(3), 6)
+    p_a, p_f = scenario_prices(inst, scen)
+    model.population_fitness(inst, sols, scen, p_a, p_f)     # fills inst's cache
+    derived = with_return_target(inst, 0.01)
+    assert derived._columns is inst._columns
+    fresh = _four_currency_instance(mu=0.01)
+    got = model.population_fitness(derived, sols, scen, p_a, p_f)
+    assert np.array_equal(got, model.population_fitness(fresh, sols, scen, p_a, p_f))
+    assert fresh._columns is not inst._columns
 
 
 def test_forward_sign_matrix():
@@ -606,6 +639,98 @@ def test_zero_recourse_fields_broadcast(make):
     assert any(v.any() for v in want.residuals.values())
     assert np.array_equal(model.population_fitness(inst, idle, scen, p_a, p_f),
                           model.population_fitness(inst, dense, scen, p_a, p_f))
+
+
+def _reference_hold(inst, sol, first, p_asset, p_fwd):
+    """The no-recourse stage with every currency at once: (C, ...batch, N)
+    asset values, overlays and exposures, summed over their first axis.
+    Kept as the reference that `model._hold`, one currency at a time,
+    reproduces. Returns (wealth, margin, residuals)."""
+    shape = np.shape(first.free_cash) + (p_asset.shape[0],)
+    onehot_t = np.eye(inst.n_currencies)[inst.asset_currency_index()].T.copy()
+    sign_t = inst.forward_sign_matrix().T.astype(float)
+    margin = inst.margin_rate * (np.abs(first.q) @ p_fwd.T)
+    fwd_ccy = np.moveaxis(first.q[..., None, :] * sign_t, -2, 0)
+    asset_ccy = np.moveaxis(first.a[..., None, :] * onehot_t, -2, 0)
+    overlay_cols = fwd_ccy @ p_fwd.T
+    c = asset_ccy @ p_asset.T + overlay_cols
+    c[inst.base_index] += margin
+    wealth = (first.a @ p_asset.T + first.q @ p_fwd.T + margin
+              + first.free_cash[..., None])
+    per_ccy = (-1,) + (1,) * (c.ndim - 1)
+    floor = np.where(np.moveaxis(sol.z, -1, 0)[..., None] > 0.5,
+                     inst.c_min.reshape(per_ccy), -np.inf)
+    res = dict.fromkeys(first.residuals, np.zeros(shape))
+    res["total_overlay"] = np.maximum(0.0, 0.5 * np.abs(overlay_cols).sum(0)
+                                      - inst.v_u * c.sum(0)) / inst.w0
+    res["currency_exposure"] = (np.maximum(0.0, floor - c).sum(0) + np.maximum(
+        0.0, c - inst.c_max.reshape(per_ccy)).sum(0)) / inst.w0
+    res["currency_cardinality"] = np.broadcast_to(
+        first.residuals["currency_cardinality"][..., None], shape)
+    return wealth, margin, res
+
+
+_HOLD_INSTANCES = [
+    lambda: _make_instance(mu=0.01),      # finite c_min, z flags
+    lambda: _market_instance(mu=0.003),   # the acceptance market
+    _four_currency_instance,              # floors and caps on some currencies, v_u binds
+]
+
+
+@pytest.mark.parametrize("make", _HOLD_INSTANCES, ids=["hand-oracle", "market", "four-currency"])
+def test_hold_matches_all_currency_reference(make):
+    # A population's no-recourse stage, one currency plane at a time,
+    # equals the all-currency reference bit for bit. One solution takes a
+    # matrix-vector product per currency where the reference takes one
+    # matrix product for all of them, so its overlay and exposure
+    # residuals may move in the last bit of their scale.
+    inst = make()
+    rng = np.random.default_rng(21)
+    scen = _scenarios_for(inst, 300, 21)
+    p_a, p_f = scenario_prices(inst, scen)
+    sols = _random_solutions(inst, rng, 40)
+    first = evaluate_first_stage(inst, sols)
+    rec = evaluate_recourse(inst, sols, first, p_a, p_f)
+    wealth, margin, res = _reference_hold(inst, sols, first, p_a, p_f)
+    assert np.array_equal(rec.wealth, wealth) and np.array_equal(rec.margin, margin)
+    assert rec.residuals.keys() == res.keys()
+    for key, ref in res.items():
+        assert np.array_equal(np.broadcast_to(rec.residuals[key], ref.shape), ref), key
+    assert res["total_overlay"].any()
+    assert res["currency_exposure"].any() == np.isfinite([*inst.c_min, *inst.c_max]).any()
+    for i in range(3):
+        one = _member(sols, i)
+        first = evaluate_first_stage(inst, one)
+        rec = evaluate_recourse(inst, one, first, p_a, p_f)
+        wealth, margin, res = _reference_hold(inst, one, first, p_a, p_f)
+        assert np.array_equal(rec.wealth, wealth) and np.array_equal(rec.margin, margin)
+        for key, ref in res.items():
+            got = np.broadcast_to(rec.residuals[key], ref.shape)
+            assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref).max()), key
+
+
+@pytest.mark.parametrize("make,P,n", [
+    (lambda: _market_instance(mu=0.003), 40, 1000),   # the benchmark's frontier
+    (_four_currency_instance, 24, 2000),              # stability's largest N
+], ids=["market", "four-currency"])
+def test_no_recourse_generation_working_set_is_bounded(make, P, n):
+    # One no-recourse generation allocates a few (rows, N) planes of a
+    # bounded row pass, never a (C, P, N) array: the tracemalloc peak of
+    # one call stays under 2 MiB (all-currency arrays in one pass read
+    # 3.7 and 7.4 MiB on these two cases).
+    inst = make()
+    scen = _scenarios_for(inst, n, 5)
+    p_a, p_f = scenario_prices(inst, scen)
+    layout = ga.build_layout(inst, n, "no-recourse-trades")
+    pop = ga._initial_population(layout, ga.GAConfig(population=P), np.random.default_rng(5))
+    ga._population_fitness(layout, pop, scen, p_a, p_f)        # shape the columns
+    tracemalloc.start()
+    try:
+        ga._population_fitness(layout, pop, scen, p_a, p_f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 # ---------------------------------------------------------------------------
