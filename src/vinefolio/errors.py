@@ -10,7 +10,7 @@ class DegenerateSample(VinefolioError):
 
 
 class EmptyPanel(VinefolioError):
-    """A return panel with no columns was supplied."""
+    """A return panel with no columns or no periods was supplied."""
 
 
 class InvalidParameter(VinefolioError):

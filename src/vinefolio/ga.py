@@ -28,7 +28,6 @@ class GAConfig:
     elite_count: int = 1
     seed: int = 0
     recourse_mode: str = "full"           # "full" or "no-recourse-trades"
-    mutation_scale: float = 0.05
 
     def __post_init__(self):
         if self.population < 2 or self.generations < 1:
@@ -151,9 +150,10 @@ def crossover_arithmetic(parent_a: np.ndarray, parent_b: np.ndarray,
     return np.multiply(np.add(parent_a, parent_b, out=out), 0.5, out=out)
 
 
-# The mutation step grows after a generation that improves on the best
-# point, shrinks after one that does not, and never falls below the floor.
-_MUTATION_GROW, _MUTATION_SHRINK, _MUTATION_FLOOR = 1.1, 0.7, 1e-6
+# The mutation step starts at the scale, grows after a generation that
+# improves on the best point, shrinks after one that does not, and never
+# falls below the floor.
+_MUTATION_SCALE, _MUTATION_GROW, _MUTATION_SHRINK, _MUTATION_FLOOR = 0.05, 1.1, 0.7, 1e-6
 
 
 def mutate_adaptive_feasible(individual: np.ndarray, sigma: float,
@@ -202,16 +202,16 @@ def _initial_population(layout: ChromosomeLayout, config: GAConfig,
     return np.clip(pop, layout.lower, layout.upper)
 
 
-# Fully decoded rows (every row in no-recourse mode, the live rows in full
-# mode) are scored in equal passes of at least three rows, so that no pass
-# is one row, whose BLAS products round differently. A pass stays under an
-# element budget: rows x L genes in full mode, L being the stage length
-# times N + 1, and rows x N in no-recourse mode, whose second stage works
-# on (rows, N) planes. Each budget was the fastest timed (2-core x86, BLAS
-# on one thread); one budget does not fit both modes.
-# - Full, every row decoded (P = 40, N = 200, L = 5226), ms per call:
+# Rows are scored in equal passes of at least three rows, so that no pass
+# is one row, whose BLAS products round differently, unless a generation
+# has one row of its kind. A pass stays under an element budget: rows x L
+# genes for live rows, L being the stage length times N + 1, and rows x N
+# for held rows, whose second stage works on (rows, N) planes. Each budget
+# was the fastest timed (2-core x86, BLAS on one thread); one budget does
+# not fit both kinds of row.
+# - Live, every row decoded (P = 40, N = 200, L = 5226), ms per call:
 #   2^15 5.7, 2^16 4.0-4.5, 2^17 3.1-3.3, 2^18 3.7-4.1, 2^19 3.7-4.2.
-# - No-recourse, GA seconds per `frontier` | `stability` benchmark pass
+# - Held, GA seconds per `frontier` | `stability` benchmark pass
 #   (P = 40, N = 1000 | P = 24, N = 500-2000): the whole population in one
 #   pass 0.331 | 0.092, 2^14 0.207 | 0.066, 2^15 0.201 | 0.058, 2^16
 #   0.261 | 0.056. A `frontier` pass took 5 400 minor page faults at 2^14
@@ -224,32 +224,27 @@ def _population_fitness(layout: ChromosomeLayout, pop: np.ndarray,
                         p_fwd: np.ndarray) -> tuple[np.ndarray, int]:
     """Fitness of every row of `pop`, and the number of live rows.
 
-    A full-mode row is live when any of its recourse flag genes is above
-    0.5. The other rows, idle ones, decode to all-zero recourse fields, so
-    they are scored in one pass from their first-stage genes alone, with
-    (1, 1, k) zero recourse fields that broadcast against the pass's rows
-    and scenarios. Live rows, and every row in no-recourse mode, are
-    decoded in full, in equal passes under the mode's element budget.
+    A row is live when any of its recourse flag genes is above 0.5, which
+    only a full-mode row has. The other rows, held ones, make no recourse
+    trade: they are decoded for the first stage only and scored by
+    `model._hold`, in equal passes under `_HOLD_ELEMENTS`. Live rows are
+    decoded in full and scored by `model._trade`, under `_CHUNK_ELEMENTS`.
     """
     inst = layout.instance
     sl = stage_length(inst)
-    live = np.logical_and(pop[:, sl:] > 0.5, layout.is_binary[sl:]).any(axis=1)
-    dense = live if layout.recourse_mode == "full" else np.ones(len(pop), dtype=bool)
+    live = pop[:, sl:] > 0.5
+    live &= layout.is_binary[sl:]      # in place: one (P, L) mask at a time, not two
+    live = live.any(axis=1)
     fits = np.empty(len(pop))
-    if not dense.all():
-        first = _decode_stage(inst, model._last_first(pop[~dense, :sl]))
-        zeros = {"r" + f: np.zeros((1, 1, v.shape[-1])) for f, v in first.items()}
-        fits[~dense] = model.population_fitness(inst, Solution(**first, **zeros),
-                                                scen, p_asset, p_fwd)
-        pop = pop[dense]          # live rows are copied only in a mixed pass
-    at = np.flatnonzero(dense)
-    width, budget = ((layout.length, _CHUNK_ELEMENTS) if layout.recourse_mode == "full"
-                     else (layout.n_scenarios, _HOLD_ELEMENTS))
-    passes = -(-len(pop) // max(3, budget // width))
-    for k in range(passes):
-        i, j = len(pop) * k // passes, len(pop) * (k + 1) // passes
-        fits[at[i:j]] = model.population_fitness(
-            inst, decode(layout, pop[i:j]), scen, p_asset, p_fwd)
+    for rows, width, budget, sols in (
+            (np.flatnonzero(~live), layout.n_scenarios, _HOLD_ELEMENTS,
+             lambda at: Solution(**_decode_stage(inst, model._last_first(pop[at, :sl])))),
+            (np.flatnonzero(live), layout.length, _CHUNK_ELEMENTS,
+             lambda at: decode(layout, pop[at]))):
+        passes = -(-len(rows) // max(3, budget // width))
+        for k in range(passes):
+            at = rows[len(rows) * k // passes:len(rows) * (k + 1) // passes]
+            fits[at] = model.population_fitness(inst, sols(at), scen, p_asset, p_fwd)
     return fits, int(live.sum())
 
 
@@ -266,7 +261,7 @@ def run(inst: Instance, scen: ScenarioSet, config: GAConfig) -> GAResult:
     best_genes = pop[best_idx].copy()
     best_fit = float(fits[best_idx])
 
-    sigma = config.mutation_scale
+    sigma = _MUTATION_SCALE
     trace: list[tuple[int, float, float]] = []
     n_children = config.population - config.elite_count
     n_cross = int(round(config.crossover_rate * n_children))

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import ga as ga_mod
 from . import model
-from .errors import (MissingColumn, MissingRateSeries, NonNumericCell, ParseError,
-                     VinefolioError)
+from .errors import (EmptyPanel, MissingColumn, MissingRateSeries, NonNumericCell,
+                     ParseError, VinefolioError)
 from .model import Instance, Solution
 from .scenarios import ReturnPanel, ScenarioSet, adjust_returns
 
@@ -206,43 +206,35 @@ def portfolio_period_returns(inst: Instance, sol: Solution,
                              panel: ReturnPanel) -> np.ndarray:
     """Buy-and-hold per-period total returns of the first-stage portfolio.
 
-    Exposures are held fixed as fractions of initial wealth; asset legs
-    earn adjusted asset + currency returns, forwards earn the adjusted
-    leg difference, margin and free cash earn zero.
+    Each carry-adjusted period is priced as a scenario by
+    `model.scenario_prices`, so every asset and currency of the instance
+    must be a panel column; a period's return is the change in value of
+    the first-stage assets and forwards over initial wealth. Margin and
+    free cash earn zero.
     """
     adj = adjust_returns(panel)
+    if not adj.n_periods:
+        raise EmptyPanel("the out-of-sample panel has no periods")
+    periods = ScenarioSet(tuple(adj.column_names()), adj.column_matrix(),
+                          np.full(adj.n_periods, 1.0 / adj.n_periods))
+    p_asset, p_fwd = model.scenario_prices(inst, periods)
     first = model.evaluate_first_stage(inst, sol)
-    m = adj.n_periods
-    total = np.zeros(m)
-    for i, name in enumerate(inst.assets):
-        if name not in adj.assets:
-            raise MissingColumn(name)
-        ccy = inst.asset_currency[i]
-        if ccy not in adj.currencies:
-            raise MissingColumn(ccy)
-        frac = first.a[i] * inst.p0_asset[i] / inst.w0
-        total += frac * (adj.assets[name] + adj.currencies[ccy])
-    for k, (j1, j2) in enumerate(inst.forward_pairs):
-        long_c, short_c = inst.currencies[j1], inst.currencies[j2]
-        for c in (long_c, short_c):
-            if c not in adj.currencies:
-                raise MissingColumn(c)
-        frac = first.q_value[k] / inst.w0
-        total += frac * (adj.currencies[long_c] - adj.currencies[short_c])
-    return total
+    return ((p_asset - inst.p0_asset) @ first.a
+            + (p_fwd - inst.p0_forward) @ first.q) / inst.w0
 
 
 def backtest(inst: Instance, sol: Solution, panel: ReturnPanel) -> BacktestReport:
+    """The portfolio's wealth path over `panel` and its historical CVaR:
+    `model.cvar_objective` of the period losses at beta = 0.95."""
     returns = portfolio_period_returns(inst, sol, panel)
     wealth = 100.0 * np.cumprod(1.0 + returns)
     mean_ret = float(returns.mean())
-    q5 = float(np.quantile(returns, 0.05))
-    tail = returns[returns < q5]
-    hist_cvar = float(-tail.mean()) if tail.size else 0.0
+    hist_cvar = float(model.cvar_objective(
+        -returns, np.full(returns.size, 1.0 / returns.size), 0.95)[1])
     ratio = mean_ret / hist_cvar if hist_cvar != 0.0 else None
     return BacktestReport(
         periods=panel.periods, returns=returns, wealth=wealth,
-        final_wealth=float(wealth[-1]) if wealth.size else 100.0,
+        final_wealth=float(wealth[-1]),
         mean_return=mean_ret, historical_cvar=hist_cvar,
         return_to_cvar=ratio,
     )

@@ -276,8 +276,7 @@ class Solution:
     Binary arrays hold 0/1 floats. Recourse arrays are (N, k) shaped;
     None means no recourse trading in any scenario. A population carries
     one more leading axis on every field. A recourse field may also have
-    any shape that broadcasts against (..., N, k), such as (1, 1, k) zeros
-    for a population that makes no recourse trade.
+    any shape that broadcasts against (..., N, k).
     """
 
     b_asset: np.ndarray
@@ -446,7 +445,8 @@ def _trade(inst: Instance, decisions, p_asset, p_fwd, cash, a_held, q_held):
     prices, the cash and the holdings carried in broadcast against them.
     A residual that depends on the decisions alone keeps their shape.
     Returns (a, q, q_value, c, margin, free_cash, wealth, residuals), with
-    a, q and q_value instrument-first, c currency-first.
+    a, q and q_value instrument-first, c currency-first. A recourse stage
+    whose decisions are all zero is `_hold`'s, which needs no decisions.
     """
     z = decisions[8]
     col = _columns(inst, z.ndim - 1)
@@ -502,31 +502,31 @@ def evaluate_first_stage(inst: Instance, sol: Solution) -> FirstStageReport:
                             margin=margin, free_cash=free_cash, residuals=res)
 
 
-def _hold(inst: Instance, sol: Solution, first: FirstStageReport,
+def _hold(inst: Instance, first: FirstStageReport,
           p_asset: np.ndarray, p_fwd: np.ndarray) -> RecourseReport:
     """Recourse with no trades: the first-stage portfolio in every scenario.
 
-    Wealth is a @ p_asset^T + q @ p_fwd^T + margin + free cash. Only the
-    overlay and exposure residuals depend on prices; the currency
-    cardinality carries over and the rest are zero. Holdings, free cash
+    It computes what `_trade` computes for all-zero decisions. Wealth is
+    a @ p_asset^T + q @ p_fwd^T + margin + free cash. Country activity sets
+    every currency flag of a stage that trades nothing to 0, so no floor
+    binds and no currency cardinality counts; only the overlay and cap
+    residuals depend on prices, and the rest are zero. Holdings, free cash
     and the residuals that are constant in every scenario are broadcast
     views, not N-row copies.
     """
     shape = np.shape(first.free_cash) + (p_asset.shape[0],)
-    col = _columns(inst, np.ndim(sol.z) - 1)
+    col = _columns(inst, len(shape) - 1)
     margin = inst.margin_rate * (np.abs(first.q) @ p_fwd.T)
     # One currency's (...batch, N) asset value and overlay at a time.
     planes = (((first.a * onehot) @ p_asset.T, (first.q * sign) @ p_fwd.T)
               for onehot, sign in zip(col["onehot_t"], col["sign_t"]))
     res = dict.fromkeys(first.residuals, np.broadcast_to(0.0, shape))
     for key, vec in zip(("total_overlay", "currency_exposure"), _exposure_residuals(
-            inst, planes, _last_first(sol.z)[..., None], margin)):
+            inst, planes, np.zeros(inst.n_currencies), margin)):
         if vec.any():
             res[key] = vec
     wealth = (first.a @ p_asset.T + first.q @ p_fwd.T + margin
               + first.free_cash[..., None])
-    res["currency_cardinality"] = np.broadcast_to(
-        first.residuals["currency_cardinality"][..., None], shape)
     return RecourseReport(
         a=np.broadcast_to(first.a[..., None, :], shape + (inst.n_assets,)),
         q=np.broadcast_to(first.q[..., None, :], shape + (inst.n_forwards,)),
@@ -538,7 +538,7 @@ def evaluate_recourse(inst: Instance, sol: Solution, first: FirstStageReport,
                       p_asset: np.ndarray, p_fwd: np.ndarray) -> RecourseReport:
     """Evaluate all scenarios at once; rows of p_asset/p_fwd are scenarios."""
     if not sol.has_recourse:
-        return _hold(inst, sol, first, p_asset, p_fwd)
+        return _hold(inst, first, p_asset, p_fwd)
     # Scenario prices become (k, 1, ..., N) against the (k, ...batch, N) decisions.
     ones = (1,) * np.ndim(first.free_cash)
     p_asset_t, p_fwd_t = (np.ascontiguousarray(p.T).reshape(p.shape[1:] + ones + p.shape[:1])

@@ -504,8 +504,10 @@ def _captured_populations(monkeypatch, inst, scen, cfg):
 
 def test_idle_rows_score_as_dense_rows_of_a_recourse_run(monkeypatch):
     # The populations of a full-recourse run, as the benchmark's `recourse`
-    # workload makes them: idle rows scored from their first stage alone
-    # match the same rows decoded in full, in one pass of the same rows.
+    # workload makes them: idle rows score as their first stage alone, held
+    # with no recourse fields, in one pass of the same rows.
+    # (`test_held_stage_is_a_stage_that_trades_nothing` in test_model.py
+    # matches a held stage with dense zero recourse fields.)
     inst = _market_instance(mu=0.002)
     scen = _market_scenarios(200, 12)
     cfg = GAConfig(population=40, generations=20, seed=12, elite_count=2)
@@ -516,11 +518,13 @@ def test_idle_rows_score_as_dense_rows_of_a_recourse_run(monkeypatch):
     for pop in pops:
         sol = decode(layout, pop)
         flags = [getattr(sol, "r" + f) for f in ("x_asset", "y_asset", "x_fwd", "y_fwd", "z")]
-        idle = pop[~np.any([f.any(axis=(1, 2)) for f in flags], axis=0)]
+        live = np.any([f.any(axis=(1, 2)) for f in flags], axis=0)
+        idle = pop[~live]
         idle_rows += len(idle)
         fast, n_live = ga._population_fitness(layout, idle, scen, p_asset, p_fwd)
-        dense = model.population_fitness(inst, decode(layout, idle), scen, p_asset, p_fwd)
-        assert n_live == 0 and np.array_equal(fast, dense)
+        first = model.Solution(**{f: getattr(sol, f)[~live] for f in model.STAGE_FIELDS})
+        held = model.population_fitness(inst, first, scen, p_asset, p_fwd)
+        assert n_live == 0 and np.array_equal(fast, held)
     assert idle_rows > 0
 
 
@@ -555,15 +559,16 @@ def test_full_mode_pass_fitness_is_row_independent(monkeypatch):
 def test_run_counts_live_evaluations(monkeypatch):
     # A large mutation step switches recourse flags on; the count is the
     # number of evaluated rows whose decoded recourse fields are not all zero.
+    monkeypatch.setattr(ga, "_MUTATION_SCALE", 5.0)
     inst = _tiny_instance(mu=0.005)
     scen = _tiny_scenarios(n=2)
-    cfg = GAConfig(population=12, generations=5, seed=2, mutation_scale=5.0)
+    cfg = GAConfig(population=12, generations=5, seed=2)
     pops, result = _captured_populations(monkeypatch, inst, scen, cfg)
     layout = build_layout(inst, scen.n_scenarios, "full")
     expected = sum(int(np.any([getattr(decode(layout, g), "r" + f).any()
                                for f in model.STAGE_FIELDS])) for pop in pops for g in pop)
     assert 0 < result.live_evaluations == expected < 12 * 6
-    off = ga.run(inst, scen, GAConfig(population=12, generations=5, seed=2, mutation_scale=5.0,
+    off = ga.run(inst, scen, GAConfig(population=12, generations=5, seed=2,
                                       recourse_mode="no-recourse-trades"))
     assert off.live_evaluations == 0
 

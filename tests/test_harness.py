@@ -264,11 +264,22 @@ def test_backtest_historical_cvar():
     returns = np.concatenate([np.full(95, 0.01), np.full(5, -0.04)])
     panel = _flat_rate_panel(returns)
     report = harness.backtest(inst, zero_solution(inst), panel)
-    # 5% quantile is -0.04; the strict tail below it is empty is avoided
-    # because quantile interpolation lands above the worst returns
+    # the worst 5 of 100 periods are exactly the 5% tail
     assert report.historical_cvar == pytest.approx(0.04, abs=1e-12)
     assert report.return_to_cvar == pytest.approx(
         report.mean_return / 0.04, abs=1e-12)
+
+
+@pytest.mark.parametrize("worst", [6, 10])
+def test_backtest_historical_cvar_with_tied_worst_returns(worst):
+    # More worst periods than the 5% tail holds: the 5% quantile equals the
+    # worst return, so the tail is those returns, not an empty set below it.
+    inst = _frontier_instance()
+    inst = model.Instance(**{**inst.__dict__, "a0": np.array([10.0, 0.0])})
+    returns = np.concatenate([np.full(100 - worst, 0.01), np.full(worst, -0.04)])
+    report = harness.backtest(inst, zero_solution(inst), _flat_rate_panel(returns))
+    assert report.historical_cvar == pytest.approx(0.04, abs=1e-12)
+    assert report.return_to_cvar == pytest.approx(report.mean_return / 0.04, abs=1e-10)
 
 
 def test_backtest_missing_column():
@@ -514,12 +525,17 @@ def _solution(**first_stage):
     (["gen-scenarios"], _inputs(base=5), "config key 'base' must be a currency code, got 5"),
     (["gen-scenarios"], _inputs(asset_currency={"EQ_US": 3, "EQ_UK": "GBP"}),
      "config key 'asset_currency' must map asset names to currency codes"),
+    (["backtest"], _inputs({**_solution(**_FIRST_STAGE),
+                            "oos.csv": "period,EQ_US,EQ_UK,GBP,rate.USD,rate.GBP\n"},
+                           solution="sol.json", oos_panel="oos.csv"),
+     "the out-of-sample panel has no periods"),
 ], ids=["mu-grid-item", "mu-grid-not-list", "sizes-item", "seeds-not-list", "size-0",
         "gen-scenarios-n-0", "optimize-n-0", "instance-not-json", "instance-no-params",
         "instance-price", "instance-nan-price", "instance-nan-big-b", "instance-nan-a0",
         "instance-nan-c-max", "solution-not-json", "solution-no-field", "solution-short",
         "sidecar-not-json", "frontier-mu-nan", "optimize-mu-nan", "stability-mu-nan",
-        "asset-currency-not-object", "base-not-string", "asset-currency-value"])
+        "asset-currency-not-object", "base-not-string", "asset-currency-value",
+        "oos-panel-no-periods"])
 def test_cli_bad_input_exits_1(tmp_path, args, edit, message):
     ws = _cli_workspace(tmp_path)
     cfg = json.loads((ws / "config.json").read_text())

@@ -641,11 +641,13 @@ def test_zero_recourse_fields_broadcast(make):
                           model.population_fitness(inst, dense, scen, p_a, p_f))
 
 
-def _reference_hold(inst, sol, first, p_asset, p_fwd):
+def _reference_hold(inst, first, p_asset, p_fwd):
     """The no-recourse stage with every currency at once: (C, ...batch, N)
     asset values, overlays and exposures, summed over their first axis.
     Kept as the reference that `model._hold`, one currency at a time,
-    reproduces. Returns (wealth, margin, residuals)."""
+    reproduces. A held stage trades nothing, so its currency flags are 0:
+    no floor binds and its currency cardinality is 0. Returns (wealth,
+    margin, residuals)."""
     shape = np.shape(first.free_cash) + (p_asset.shape[0],)
     onehot_t = np.eye(inst.n_currencies)[inst.asset_currency_index()].T.copy()
     sign_t = inst.forward_sign_matrix().T.astype(float)
@@ -658,15 +660,11 @@ def _reference_hold(inst, sol, first, p_asset, p_fwd):
     wealth = (first.a @ p_asset.T + first.q @ p_fwd.T + margin
               + first.free_cash[..., None])
     per_ccy = (-1,) + (1,) * (c.ndim - 1)
-    floor = np.where(np.moveaxis(sol.z, -1, 0)[..., None] > 0.5,
-                     inst.c_min.reshape(per_ccy), -np.inf)
     res = dict.fromkeys(first.residuals, np.zeros(shape))
     res["total_overlay"] = np.maximum(0.0, 0.5 * np.abs(overlay_cols).sum(0)
                                       - inst.v_u * c.sum(0)) / inst.w0
-    res["currency_exposure"] = (np.maximum(0.0, floor - c).sum(0) + np.maximum(
-        0.0, c - inst.c_max.reshape(per_ccy)).sum(0)) / inst.w0
-    res["currency_cardinality"] = np.broadcast_to(
-        first.residuals["currency_cardinality"][..., None], shape)
+    res["currency_exposure"] = np.maximum(
+        0.0, c - inst.c_max.reshape(per_ccy)).sum(0) / inst.w0
     return wealth, margin, res
 
 
@@ -691,46 +689,97 @@ def test_hold_matches_all_currency_reference(make):
     sols = _random_solutions(inst, rng, 40)
     first = evaluate_first_stage(inst, sols)
     rec = evaluate_recourse(inst, sols, first, p_a, p_f)
-    wealth, margin, res = _reference_hold(inst, sols, first, p_a, p_f)
+    wealth, margin, res = _reference_hold(inst, first, p_a, p_f)
     assert np.array_equal(rec.wealth, wealth) and np.array_equal(rec.margin, margin)
     assert rec.residuals.keys() == res.keys()
     for key, ref in res.items():
         assert np.array_equal(np.broadcast_to(rec.residuals[key], ref.shape), ref), key
     assert res["total_overlay"].any()
-    assert res["currency_exposure"].any() == np.isfinite([*inst.c_min, *inst.c_max]).any()
+    # only caps bind a held stage; the hand-oracle instance has floors but no caps
+    assert res["currency_exposure"].any() == np.isfinite(inst.c_max).any()
     for i in range(3):
         one = _member(sols, i)
         first = evaluate_first_stage(inst, one)
         rec = evaluate_recourse(inst, one, first, p_a, p_f)
-        wealth, margin, res = _reference_hold(inst, one, first, p_a, p_f)
+        wealth, margin, res = _reference_hold(inst, first, p_a, p_f)
         assert np.array_equal(rec.wealth, wealth) and np.array_equal(rec.margin, margin)
         for key, ref in res.items():
             got = np.broadcast_to(rec.residuals[key], ref.shape)
             assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref).max()), key
 
 
-@pytest.mark.parametrize("make,P,n", [
+@pytest.mark.parametrize("make", _HOLD_INSTANCES, ids=["hand-oracle", "market", "four-currency"])
+def test_held_stage_is_a_stage_that_trades_nothing(make):
+    # A population with no recourse fields, held by `model._hold`, scores as
+    # the same population given dense zero recourse fields, traded by
+    # `model._trade`: a stage that trades nothing has every currency flag
+    # at 0, so no floor binds and no currency cardinality is counted. The
+    # two evaluators sum in different orders (BLAS products against
+    # elementwise sums), so they agree to rounding, not bit for bit.
+    inst = make()
+    rng = np.random.default_rng(23)
+    scen = _scenarios_for(inst, 300, 23)
+    p_a, p_f = scenario_prices(inst, scen)
+    held = _random_solutions(inst, rng, 40)
+    first_stage = {k: v for k, v in held.__dict__.items() if v is not None}
+    traded = Solution(**first_stage, **{"r" + k: np.zeros((40, 300, v.shape[-1]))
+                                        for k, v in first_stage.items()})
+    first = evaluate_first_stage(inst, held)
+    got = evaluate_recourse(inst, held, first, p_a, p_f)
+    want = evaluate_recourse(inst, traded, first, p_a, p_f)
+    assert got.residuals.keys() == want.residuals.keys()
+    pairs = [(getattr(got, k), getattr(want, k)) for k in ("wealth", "margin", "free_cash")]
+    pairs += [(got.residuals[k], ref) for k, ref in want.residuals.items()]
+    for value, ref in pairs:
+        np.testing.assert_allclose(np.broadcast_to(value, ref.shape), ref, rtol=1e-12, atol=0.0)
+    assert want.residuals["total_overlay"].any()
+    np.testing.assert_allclose(model.population_fitness(inst, held, scen, p_a, p_f),
+                               model.population_fitness(inst, traded, scen, p_a, p_f),
+                               rtol=1e-12, atol=0.0)
+
+
+def _generation_peak(make, P, n, mode):
+    """The tracemalloc peak of scoring one initial population, and its
+    count of live rows."""
+    inst = make()
+    scen = _scenarios_for(inst, n, 5)
+    p_a, p_f = scenario_prices(inst, scen)
+    layout = ga.build_layout(inst, n, mode)
+    pop = ga._initial_population(layout, ga.GAConfig(population=P), np.random.default_rng(5))
+    ga._population_fitness(layout, pop, scen, p_a, p_f)        # shape the columns
+    tracemalloc.start()
+    try:
+        _, live = ga._population_fitness(layout, pop, scen, p_a, p_f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, live
+
+
+_GENERATION_SIZES = pytest.mark.parametrize("make,P,n", [
     (lambda: _market_instance(mu=0.003), 40, 1000),   # the benchmark's frontier
     (_four_currency_instance, 24, 2000),              # stability's largest N
 ], ids=["market", "four-currency"])
+
+
+@_GENERATION_SIZES
 def test_no_recourse_generation_working_set_is_bounded(make, P, n):
     # One no-recourse generation allocates a few (rows, N) planes of a
     # bounded row pass, never a (C, P, N) array: the tracemalloc peak of
     # one call stays under 2 MiB (all-currency arrays in one pass read
     # 3.7 and 7.4 MiB on these two cases).
-    inst = make()
-    scen = _scenarios_for(inst, n, 5)
-    p_a, p_f = scenario_prices(inst, scen)
-    layout = ga.build_layout(inst, n, "no-recourse-trades")
-    pop = ga._initial_population(layout, ga.GAConfig(population=P), np.random.default_rng(5))
-    ga._population_fitness(layout, pop, scen, p_a, p_f)        # shape the columns
-    tracemalloc.start()
-    try:
-        ga._population_fitness(layout, pop, scen, p_a, p_f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 << 20
+    assert _generation_peak(make, P, n, "no-recourse-trades")[0] < 2 << 20
+
+
+@_GENERATION_SIZES
+def test_idle_full_mode_generation_working_set_is_bounded(make, P, n):
+    # A full-mode generation whose rows are all idle, as an initial
+    # population is, is held in the same bounded passes: its peak stays
+    # under the no-recourse bound. The live test's (P, L) flag mask is
+    # freed before the first pass. Idle rows scored in one pass with
+    # broadcast zero recourse fields read 5.3 and 9.7 MiB.
+    peak, live = _generation_peak(make, P, n, "full")
+    assert live == 0 and peak < 2 << 20
 
 
 # ---------------------------------------------------------------------------
