@@ -93,8 +93,8 @@ def _load_adjusted_panel(cfg: dict, cfg_dir: Path, key: str = "panel") -> Return
     return adjust_returns(harness.load_panel(str(path), asset_currency, base))
 
 
-def _load_instance(cfg: dict, cfg_dir: Path, mu=None, kc=None, kg=None) -> model.Instance:
-    """The configured instance with each override that is not None applied."""
+def _load_instance(cfg: dict, cfg_dir: Path, mu=None) -> model.Instance:
+    """The configured instance, at return target `mu` unless it is None."""
     path = _path(cfg, cfg_dir, "instance")
     try:
         inst = model.load_instance(str(path))
@@ -102,8 +102,7 @@ def _load_instance(cfg: dict, cfg_dir: Path, mu=None, kc=None, kg=None) -> model
         raise ConfigError(f"instance file {path} is missing key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:   # ValueError: also bad JSON
         raise ConfigError(f"instance file {path}: {exc}") from None
-    overrides = {"mu": mu, "k_c": kc, "k_g": kg}
-    return replace(inst, **{k: v for k, v in overrides.items() if v is not None})
+    return inst if mu is None else replace(inst, mu=mu)
 
 
 def _ga_config(cfg: dict, seed: int) -> ga.GAConfig:
@@ -200,8 +199,6 @@ _OUT = click.option("--out", "out_dir", required=True, type=click.Path())
 _METHOD = click.option("--method", type=click.Choice(["rvc", "mvn"]), default="rvc")
 _N = click.option("--n", "n_scenarios", type=int, default=1000)
 _SEED = click.option("--seed", type=int, default=0)
-_KC = click.option("--kc", type=int, default=None, help="Currency cardinality override.")
-_KG = click.option("--kg", type=int, default=None, help="Forward cardinality override.")
 
 
 def _command(name: str, *options):
@@ -259,11 +256,11 @@ def gen_scenarios_cmd(cfg, cfg_dir, out, method, n_scenarios, seed) -> None:
 
 @_command("optimize", click.option("--mu", type=float, default=None,
                                    help="Return target override."),
-          _METHOD, _N, _SEED, _KC, _KG)
-def optimize_cmd(cfg, cfg_dir, out, mu, method, n_scenarios, seed, kc, kg) -> None:
+          _METHOD, _N, _SEED)
+def optimize_cmd(cfg, cfg_dir, out, mu, method, n_scenarios, seed) -> None:
     """Solve the model once with the genetic algorithm."""
     seconds: dict[str, float] = {}
-    inst = _timed(seconds, "load", _load_instance, cfg, cfg_dir, mu, kc, kg)
+    inst = _timed(seconds, "load", _load_instance, cfg, cfg_dir, mu)
     scen = _scenarios_for(cfg, cfg_dir, method, n_scenarios, seed, seconds)
     result = _timed(seconds, "ga", ga.run, inst, scen, _ga_config(cfg, seed))
     evals = result.config.population * (result.config.generations + 1)
@@ -281,17 +278,16 @@ def optimize_cmd(cfg, cfg_dir, out, mu, method, n_scenarios, seed, kc, kg) -> No
                ([gen, repr(best), repr(mean)] for gen, best, mean in result.trace))
     _write_manifest(out, "optimize", seed, {
         "config": cfg, "mu": mu, "method": method, "n": n_scenarios,
-        "kc": kc, "kg": kg,
     }, ga_evaluations=evals, ga_live_evaluations=result.live_evaluations)
     click.echo(f"cvar={ev.cvar:.6f} violation={ev.violation:.3g} -> {out / 'solution.json'}")
     # Wall times differ between reruns, so no file under --out holds them.
     click.echo(json.dumps({"seconds": seconds, "ga_evals_per_s": evals / seconds["ga"]}), err=True)
 
 
-@_command("frontier", _METHOD, _N, _SEED, _KC, _KG)
-def frontier_cmd(cfg, cfg_dir, out, method, n_scenarios, seed, kc, kg) -> None:
+@_command("frontier", _METHOD, _N, _SEED)
+def frontier_cmd(cfg, cfg_dir, out, method, n_scenarios, seed) -> None:
     """Sweep the configured return-target grid."""
-    inst = _load_instance(cfg, cfg_dir, kc=kc, kg=kg)
+    inst = _load_instance(cfg, cfg_dir)
     mu_grid = _numbers(cfg, "mu_grid")
     scen = _scenarios_for(cfg, cfg_dir, method, n_scenarios, seed, {})
     points = harness.frontier(inst, scen, mu_grid, _ga_config(cfg, seed))
@@ -300,10 +296,7 @@ def frontier_cmd(cfg, cfg_dir, out, method, n_scenarios, seed, kc, kg) -> None:
                ([repr(p.mu), repr(p.achieved_return), repr(p.cvar), repr(p.equity_share),
                  repr(p.fx_exposure), repr(p.total_overlay), p.status, p.reason]
                 for p in points))
-    _write_manifest(out, "frontier", seed, {
-        "config": cfg, "method": method, "n": n_scenarios,
-        "kc": kc, "kg": kg,
-    })
+    _write_manifest(out, "frontier", seed, {"config": cfg, "method": method, "n": n_scenarios})
     solved = sum(1 for p in points if p.status == "solved")
     click.echo(f"{solved}/{len(points)} targets solved -> {out / 'frontier.csv'}")
 

@@ -61,16 +61,6 @@ class InvalidScenarios(VinefolioError, ValueError):
     """Scenario values are not finite or probabilities do not sum to 1."""
 
 
-class NonNumericCell(VinefolioError):
-    """A CSV cell that should hold a finite number does not."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
 class ParseError(VinefolioError):
     """Input file could not be parsed."""
 
@@ -79,3 +69,7 @@ class ParseError(VinefolioError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class NonNumericCell(ParseError):
+    """A CSV cell that should hold a finite number does not."""

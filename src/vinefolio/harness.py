@@ -104,9 +104,6 @@ def load_panel(path: str, asset_currency: dict[str, str], base: str) -> ReturnPa
     for name, ccy in asset_currency.items():
         if name in assets and ccy not in rates:
             raise MissingRateSeries(ccy)
-    for ccy in currencies:
-        if ccy not in rates:
-            raise MissingRateSeries(ccy)
 
     return ReturnPanel(
         periods=tuple(periods), assets=assets,

@@ -351,9 +351,9 @@ class FirstStageReport:
     q_value: np.ndarray           # forward market values q_k * P0_k
     F: np.ndarray                 # K x C exposure matrix
     c: np.ndarray                 # currency exposures
-    margin: float
-    free_cash: float
-    residuals: dict[str, float] = field(repr=False)
+    margin: np.ndarray
+    free_cash: np.ndarray
+    residuals: dict[str, np.ndarray] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -365,7 +365,8 @@ class RecourseReport:
     margin: np.ndarray            # N
     free_cash: np.ndarray         # N
     wealth: np.ndarray            # N
-    residuals: dict[str, np.ndarray] = field(repr=False)  # each length N
+    # Per-scenario residuals; a held stage reports only the two that prices move.
+    residuals: dict[str, np.ndarray] = field(repr=False)
 
 
 # Per-instrument arrays have the instrument axis first, (k, ...batch), and
@@ -394,13 +395,15 @@ def _by_currency(matrix_t: np.ndarray, planes: np.ndarray) -> np.ndarray:
     return (matrix_t @ planes.reshape(len(planes), -1)).reshape(shape)
 
 
-def _exposure_residuals(inst: Instance, planes, z, margin, out=None):
+def _exposure_residuals(inst: Instance, planes, margin, z=None, out=None):
     """The total_overlay and currency_exposure residuals from each
-    currency's (asset value, overlay) planes in turn, z[j] its flag; its
-    exposure, with the margin cash held in the base currency, goes into
-    out[j] when given. An infinite floor or cap adds exactly 0, so it is
-    skipped. The running sums add the planes in currency order, as
-    .sum(0) over a contiguous (C, ...) array does."""
+    currency's (asset value, overlay) planes in turn; its exposure, with
+    the margin cash held in the base currency, goes into out[j] when
+    given. The floor binds only currencies whose flag z[j] is on, so with
+    no flags (a stage that trades nothing) only the caps count. An
+    infinite floor or cap adds exactly 0, so it is skipped. The running
+    sums add the planes in currency order, as .sum(0) over a contiguous
+    (C, ...) array does."""
     gross = net = floor = cap = 0.0
     for j, (value, overlay) in enumerate(planes):
         c = value + overlay
@@ -410,7 +413,7 @@ def _exposure_residuals(inst: Instance, planes, z, margin, out=None):
             out[j] = c
         gross += np.abs(overlay)
         net += c
-        if inst.c_min[j] > -np.inf:    # the floor binds only flagged currencies
+        if z is not None and inst.c_min[j] > -np.inf:
             floor += np.maximum(0.0, np.where(z[j] > 0.5, inst.c_min[j], -np.inf) - c)
         if inst.c_max[j] < np.inf:
             cap += np.maximum(0.0, c - inst.c_max[j])
@@ -460,7 +463,7 @@ def _trade(inst: Instance, decisions, p_asset, p_fwd, cash, a_held, q_held):
     margin = inst.margin_rate * (np.abs(q) * p_fwd).sum(0)
     c = _by_currency(col["onehot_t"], asset_value)
     total_overlay, currency_exposure = _exposure_residuals(
-        inst, zip(c, _by_currency(col["sign_t"], q_value)), z, margin, out=c)
+        inst, zip(c, _by_currency(col["sign_t"], q_value)), margin, z, out=c)
     wealth = asset_value.sum(0) + q_value.sum(0) + margin + free_cash
 
     res = {
@@ -509,10 +512,10 @@ def _hold(inst: Instance, first: FirstStageReport,
     It computes what `_trade` computes for all-zero decisions. Wealth is
     a @ p_asset^T + q @ p_fwd^T + margin + free cash. Country activity sets
     every currency flag of a stage that trades nothing to 0, so no floor
-    binds and no currency cardinality counts; only the overlay and cap
-    residuals depend on prices, and the rest are zero. Holdings, free cash
-    and the residuals that are constant in every scenario are broadcast
-    views, not N-row copies.
+    binds and no currency cardinality counts: only the overlay and cap
+    residuals can be nonzero, and the report holds just those two,
+    total_overlay and currency_exposure. Holdings and free cash are
+    broadcast views, not N-row copies.
     """
     shape = np.shape(first.free_cash) + (p_asset.shape[0],)
     col = _columns(inst, len(shape) - 1)
@@ -520,11 +523,8 @@ def _hold(inst: Instance, first: FirstStageReport,
     # One currency's (...batch, N) asset value and overlay at a time.
     planes = (((first.a * onehot) @ p_asset.T, (first.q * sign) @ p_fwd.T)
               for onehot, sign in zip(col["onehot_t"], col["sign_t"]))
-    res = dict.fromkeys(first.residuals, np.broadcast_to(0.0, shape))
-    for key, vec in zip(("total_overlay", "currency_exposure"), _exposure_residuals(
-            inst, planes, np.zeros(inst.n_currencies), margin)):
-        if vec.any():
-            res[key] = vec
+    res = dict(zip(("total_overlay", "currency_exposure"),
+                   _exposure_residuals(inst, planes, margin)))
     wealth = (first.a @ p_asset.T + first.q @ p_fwd.T + margin
               + first.free_cash[..., None])
     return RecourseReport(
@@ -628,14 +628,17 @@ class Evaluation:
 def _score(inst: Instance, first: FirstStageReport, rec: RecourseReport,
            probabilities: np.ndarray):
     """(fitness, cvar, alpha, expected return, violation, residuals),
-    each over the batch axes."""
+    each over the batch axes. Every first-stage residual key has a
+    recourse twin, the scenario mean; one the recourse stage does not
+    report (a held stage reports two) is 0.0."""
     losses = -(rec.wealth / inst.w0 - 1.0)
     alpha, cvar, _ = cvar_objective(losses, probabilities, inst.beta)
     exp_ret = expected_return(rec.wealth, probabilities, inst.w0)
 
     residuals = dict(first.residuals)
-    for key, vec in rec.residuals.items():
-        residuals["recourse_" + key] = vec.mean(axis=-1)
+    for key in first.residuals:
+        vec = rec.residuals.get(key)
+        residuals["recourse_" + key] = 0.0 if vec is None else vec.mean(axis=-1)
     residuals["return_target"] = np.maximum(0.0, inst.mu - exp_ret)
     violation = sum(residuals.values())
     fitness = cvar + 1e3 * np.maximum(1.0, np.abs(cvar)) * violation

@@ -74,20 +74,3 @@ def total_overlay(F) -> float:
     """Overlay magnitude: half the sum of absolute per-currency positions."""
     return 0.5 * float(np.abs(overlay_positions(F)).sum())
 
-
-def currency_exposure(asset_values: np.ndarray, F: np.ndarray,
-                      margin_cash: float, base_index: int) -> np.ndarray:
-    """Per-currency exposure: asset value + overlay column + base-currency margin.
-
-    `asset_values` is an (n_assets, C) matrix of market values; margin
-    cash is assigned entirely to the base currency.
-    """
-    asset_values = np.atleast_2d(np.asarray(asset_values, dtype=float))
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    if asset_values.shape[1] != F.shape[1]:
-        raise DimensionMismatch(
-            f"{asset_values.shape[1]} vs {F.shape[1]} currencies"
-        )
-    c = asset_values.sum(axis=0) + overlay_positions(F)
-    c[base_index] += margin_cash
-    return c

@@ -150,16 +150,15 @@ def _fit_edge(u_a, u_b, tau: float, candidates, m: int) -> FittedBicop:
 
 
 def select_and_fit(u_panel: dict[str, np.ndarray] | np.ndarray,
-                   candidates=ALL_FAMILIES,
-                   column_order: list[str] | None = None) -> RVineSpec:
+                   candidates=ALL_FAMILIES) -> RVineSpec:
     """Select the R-vine structure and fit all pair copulas.
 
     `u_panel` is either an m x n array of uniforms or a mapping from
-    column name to u-series. Variables are numbered 1..n in column order.
+    column name to u-series. Variables are numbered 1..n in column order,
+    a mapping's key order.
     """
     if isinstance(u_panel, dict):
-        names = column_order or list(u_panel)
-        data = np.column_stack([u_panel[k] for k in names])
+        data = np.column_stack(list(u_panel.values()))
     else:
         data = np.asarray(u_panel, dtype=float)
     m, n = data.shape

@@ -132,7 +132,7 @@ def fit_rvc(panel: ReturnPanel) -> FittedRVC:
     live_names = [names[i] for i in live]
     uniforms, models = (marginals.pit_transform({names[i]: matrix[:, i] for i in live})
                         if live else ({}, {}))
-    spec = (rvine.select_and_fit(uniforms, ALL_FAMILIES, column_order=live_names)
+    spec = (rvine.select_and_fit(uniforms, ALL_FAMILIES)
             if len(live) > 1 else None)
     return FittedRVC(tuple(names), tuple(live), const,
                      tuple(models[n] for n in live_names), spec)

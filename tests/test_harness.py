@@ -707,7 +707,7 @@ def test_cli_fit_vine_matches_direct_vine_fit(tmp_path):
     columns = dict(zip(panel.column_names(), panel.column_matrix().T))
     live = {name: col for name, col in columns.items() if not effectively_constant(col)}
     uniforms, _ = pit_transform(live)
-    spec = rvine.select_and_fit(uniforms, ALL_FAMILIES, column_order=list(live))
+    spec = rvine.select_and_fit(uniforms, ALL_FAMILIES)
     assert {cop.family.value for cop in spec.copulas.values()} != {"independence"}
     assert (ws / "vine" / "vine.json").read_text() == rvine.to_json(spec) + "\n"
     assert json.loads((ws / "vine" / "vine_columns.json").read_text()) == list(live)

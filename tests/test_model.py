@@ -1,9 +1,10 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vinefolio import ga, model
+from vinefolio import ga, model, overlay
 from vinefolio.errors import EmptyScenarios, InvalidParameter, MissingColumn
 from vinefolio.model import (
     Instance, Solution, cvar_objective, evaluate, evaluate_first_stage,
@@ -269,6 +270,45 @@ def test_first_stage_cash_violation():
     first = evaluate_first_stage(inst, _hand_solution())
     assert first.free_cash == 0.0
     assert first.residuals["cash_balance"] == pytest.approx(0.0735, abs=1e-12)
+
+
+def _held_instance(values, currencies, base, forwards=(), margin=0.0):
+    """One asset per currency worth `values[j]` at price 1, and forwards
+    (long, short, q0) held at price 1; nothing is traded."""
+    return instance_from_dict({
+        "assets": [{"name": f"A_{c}", "currency": c, "price": 1.0, "a0": v}
+                   for c, v in zip(currencies, values)],
+        "currencies": [{"name": c} for c in currencies], "base": base,
+        "forwards": [{"pair": [long, short], "q0": q0} for long, short, q0 in forwards],
+        "params": {"w0": 1.0, "margin": margin},
+    })
+
+
+def test_first_stage_exposure_no_forwards_no_margin():
+    inst = _held_instance([10.0, 5.0], ("USD", "GBP"), "USD")
+    assert evaluate_first_stage(inst, zero_solution(inst)).c == pytest.approx([10.0, 5.0])
+
+
+def test_first_stage_exposure_identity_with_overlay():
+    # The overlay module's worked example: 9% buying GBP against USD, 1%
+    # buying USD against JPY, 2% buying JPY against GBP.
+    values = np.array([0.5, 0.3, 0.2])
+    inst = _held_instance(values, ("USD", "GBP", "JPY"), "USD", forwards=[
+        ("USD", "GBP", -0.09), ("USD", "JPY", 0.01), ("GBP", "JPY", -0.02)])
+    first = evaluate_first_stage(inst, zero_solution(inst))
+    assert overlay.overlay_positions(first.F) == pytest.approx([-0.08, 0.07, 0.01], abs=1e-12)
+    assert first.c == pytest.approx(values + overlay.overlay_positions(first.F))
+
+
+def test_first_stage_exposure_margin_to_base():
+    # GBP 1 and USD 2 of assets, base USD second; 0.5 of a GBP/USD forward
+    # at price 1 and margin rate 0.5 posts 0.25 of USD margin:
+    # GBP 1 + 0.5, USD 2 - 0.5 + 0.25.
+    inst = _held_instance([1.0, 2.0], ("GBP", "USD"), "USD",
+                          forwards=[("GBP", "USD", 0.5)], margin=0.5)
+    first = evaluate_first_stage(inst, zero_solution(inst))
+    assert first.margin == pytest.approx(0.25)
+    assert first.c == pytest.approx([1.5, 1.75])
 
 
 def test_first_stage_currency_floor_violation():
@@ -602,10 +642,10 @@ def test_no_recourse_report_holds_views():
     scen = _scenario_set(np.random.default_rng(0).normal(0.0, 0.03, (30, 4)))
     rec = evaluate(inst, _hand_solution(), scen).recourse
     assert rec.wealth.shape == (30,) and rec.a.shape == (30, 2)
-    # the hand solution meets its overlay and exposure limits everywhere
-    for arr in (rec.a, rec.q, rec.free_cash, rec.residuals["cash_balance"],
-                rec.residuals["currency_cardinality"], rec.residuals["total_overlay"],
-                rec.residuals["currency_exposure"]):
+    # a held stage reports only the residuals that prices move
+    assert rec.residuals.keys() == {"total_overlay", "currency_exposure"}
+    # the instance has no currency caps, so the exposure residual is a view too
+    for arr in (rec.a, rec.q, rec.free_cash, rec.residuals["currency_exposure"]):
         assert arr.strides[0] == 0
 
 
@@ -646,9 +686,8 @@ def _reference_hold(inst, first, p_asset, p_fwd):
     asset values, overlays and exposures, summed over their first axis.
     Kept as the reference that `model._hold`, one currency at a time,
     reproduces. A held stage trades nothing, so its currency flags are 0:
-    no floor binds and its currency cardinality is 0. Returns (wealth,
-    margin, residuals)."""
-    shape = np.shape(first.free_cash) + (p_asset.shape[0],)
+    no floor binds, and only the overlay and cap residuals are reported.
+    Returns (wealth, margin, residuals)."""
     onehot_t = np.eye(inst.n_currencies)[inst.asset_currency_index()].T.copy()
     sign_t = inst.forward_sign_matrix().T.astype(float)
     margin = inst.margin_rate * (np.abs(first.q) @ p_fwd.T)
@@ -660,11 +699,10 @@ def _reference_hold(inst, first, p_asset, p_fwd):
     wealth = (first.a @ p_asset.T + first.q @ p_fwd.T + margin
               + first.free_cash[..., None])
     per_ccy = (-1,) + (1,) * (c.ndim - 1)
-    res = dict.fromkeys(first.residuals, np.zeros(shape))
-    res["total_overlay"] = np.maximum(0.0, 0.5 * np.abs(overlay_cols).sum(0)
-                                      - inst.v_u * c.sum(0)) / inst.w0
-    res["currency_exposure"] = np.maximum(
-        0.0, c - inst.c_max.reshape(per_ccy)).sum(0) / inst.w0
+    res = {"total_overlay": np.maximum(0.0, 0.5 * np.abs(overlay_cols).sum(0)
+                                       - inst.v_u * c.sum(0)) / inst.w0,
+           "currency_exposure": np.maximum(
+               0.0, c - inst.c_max.reshape(per_ccy)).sum(0) / inst.w0}
     return wealth, margin, res
 
 
@@ -714,8 +752,10 @@ def test_held_stage_is_a_stage_that_trades_nothing(make):
     # the same population given dense zero recourse fields, traded by
     # `model._trade`: a stage that trades nothing has every currency flag
     # at 0, so no floor binds and no currency cardinality is counted. The
-    # two evaluators sum in different orders (BLAS products against
-    # elementwise sums), so they agree to rounding, not bit for bit.
+    # held report omits the residuals that only trades move; the traded
+    # report must hold exact zeros there. The two evaluators sum in
+    # different orders (BLAS products against elementwise sums), so they
+    # agree to rounding, not bit for bit.
     inst = make()
     rng = np.random.default_rng(23)
     scen = _scenarios_for(inst, 300, 23)
@@ -727,15 +767,47 @@ def test_held_stage_is_a_stage_that_trades_nothing(make):
     first = evaluate_first_stage(inst, held)
     got = evaluate_recourse(inst, held, first, p_a, p_f)
     want = evaluate_recourse(inst, traded, first, p_a, p_f)
-    assert got.residuals.keys() == want.residuals.keys()
+    assert got.residuals.keys() == {"total_overlay", "currency_exposure"}
     pairs = [(getattr(got, k), getattr(want, k)) for k in ("wealth", "margin", "free_cash")]
-    pairs += [(got.residuals[k], ref) for k, ref in want.residuals.items()]
+    pairs += [(got.residuals.get(k, 0.0), ref) for k, ref in want.residuals.items()]
     for value, ref in pairs:
         np.testing.assert_allclose(np.broadcast_to(value, ref.shape), ref, rtol=1e-12, atol=0.0)
     assert want.residuals["total_overlay"].any()
     np.testing.assert_allclose(model.population_fitness(inst, held, scen, p_a, p_f),
                                model.population_fitness(inst, traded, scen, p_a, p_f),
                                rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("make", _HOLD_INSTANCES, ids=["hand-oracle", "market", "four-currency"])
+def test_score_counts_an_unreported_recourse_residual_as_zero(make):
+    # A recourse report that holds only the two residuals a held stage
+    # computes scores as the same report padded with zero planes: every
+    # recourse_* key, in the same order, and the same values, bit for bit.
+    inst = make()
+    rng = np.random.default_rng(25)
+    scen = _scenarios_for(inst, 200, 25)
+    p_a, p_f = scenario_prices(inst, scen)
+    sols = _random_solutions(inst, rng, 12)
+    first = evaluate_first_stage(inst, sols)
+    rec = evaluate_recourse(inst, sols, first, p_a, p_f)
+    held = replace(rec, residuals={k: rec.residuals[k]
+                                   for k in ("total_overlay", "currency_exposure")})
+    zero = np.zeros(rec.wealth.shape)
+    padded = replace(rec, residuals={k: held.residuals.get(k, zero) for k in first.residuals})
+    got = model._score(inst, first, held, scen.probabilities)
+    want = model._score(inst, first, padded, scen.probabilities)
+    for value, ref in zip(got[:5], want[:5]):
+        assert np.array_equal(value, ref)
+    assert list(got[5]) == list(want[5])
+    assert {"recourse_" + k for k in first.residuals} <= got[5].keys()
+    for key, ref in want[5].items():
+        assert np.array_equal(np.broadcast_to(got[5][key], ref.shape), ref), key
+    # one first stage, held and traded with zero recourse fields: one key set
+    one = _member(sols, 0)
+    traded = Solution(**{k: v for k, v in one.__dict__.items() if v is not None},
+                      **{"r" + k: np.zeros((200, len(v)))
+                         for k, v in one.__dict__.items() if v is not None})
+    assert list(evaluate(inst, one, scen).residuals) == list(evaluate(inst, traded, scen).residuals)
 
 
 def _generation_peak(make, P, n, mode):

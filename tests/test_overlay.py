@@ -114,27 +114,3 @@ def test_total_overlay_single_forward():
     F = overlay.build_overlay(T, np.array([0.37]))
     assert overlay.total_overlay(F) == pytest.approx(0.37, abs=1e-15)
 
-
-def test_currency_exposure_no_forwards_no_margin():
-    asset_values = np.array([[10.0, 0.0], [0.0, 5.0]])
-    c = overlay.currency_exposure(asset_values, np.zeros((1, 2)), 0.0, 0)
-    assert c == pytest.approx([10.0, 5.0])
-
-
-def test_currency_exposure_identity_with_overlay():
-    _, _, F = _worked_example_overlay()
-    asset_values = np.array([[0.5, 0.3, 0.2]])
-    c = overlay.currency_exposure(asset_values, F, 0.0, 0)
-    assert c == pytest.approx(asset_values[0] + overlay.overlay_positions(F))
-
-
-def test_currency_exposure_margin_to_base():
-    asset_values = np.array([[1.0, 2.0]])
-    F = np.zeros((1, 2))
-    c = overlay.currency_exposure(asset_values, F, 0.25, base_index=1)
-    assert c == pytest.approx([1.0, 2.25])
-
-
-def test_currency_exposure_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        overlay.currency_exposure(np.ones((1, 3)), np.zeros((1, 2)), 0.0, 0)

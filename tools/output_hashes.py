@@ -4,9 +4,9 @@ Usage: python tools/output_hashes.py [ROOT]
 
 ROOT is a checkout of the repository (default: the one holding this
 script). One line is printed per workload and pass at benchmark seed 0:
-the recourse solves' fitness and trace, the frontier points and the
-stability rows, hashed. Two checkouts that print the same lines computed
-the same results, bit for bit.
+the recourse solves' fitness, trace and residuals (keys and values), the
+frontier points and the stability rows, hashed. Two checkouts that print
+the same lines computed the same results, bit for bit.
 """
 
 import hashlib
@@ -44,8 +44,8 @@ for wl in ("recourse", "frontier", "stability"):
     panel, inst = inputs.build(wl)
     for i in (0, 1):
         out = workloads.PASSES[wl](panel, inst, workloads.pass_seed(0, i))
-        if wl == "recourse":      # fitness and trace of each solve
-            out = [(r.fitness, r.trace) for r in out]
+        if wl == "recourse":      # fitness, trace and residuals of each solve
+            out = [(r.fitness, r.trace, r.evaluation.residuals) for r in out]
         h = hashlib.sha256()
         feed(h, out)
         print(wl, i, h.hexdigest())
